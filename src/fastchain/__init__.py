@@ -45,6 +45,7 @@ from .dp import (
     optimal_budget_search,
 )
 from .eigentime import (
+    HittingKernel,
     HittingReport,
     IdentityViolation,
     NotCentered,
@@ -54,6 +55,7 @@ from .eigentime import (
     expected_hitting_times,
     h_matrix,
     hamiltonian_speed_value,
+    hitting_kernel,
     hitting_report,
     inverse_speed,
     kemeny_times,

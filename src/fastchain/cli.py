@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
 
 from . import __version__
 from ._serialize import dumps
-from .derivatives import derivative_report, m_bound
+from .derivatives import derivative_report
 from .discrete_time import (
     Kernel,
     compare_wedges,
@@ -36,10 +35,9 @@ from .discrete_time import (
 )
 from .dp import continuous_value_function, discrete_value_function, extract_policy_path
 from .eigentime import (
-    expected_hitting_times,
-    hitting_report,
+    eigentime_spectral,
+    hitting_kernel,
     inverse_speed,
-    kemeny_times,
     spectral_second_identity,
     spectrum,
 )
@@ -108,46 +106,32 @@ def _emit(doc: dict, out: str | None) -> None:
             fh.write(text)
 
 
-def _thread_cap() -> int:
-    """FASTCHAIN_THREADS caps internal parallelism; 0 or unset means auto.
-    The current implementation is sequential, so the cap is recorded only."""
-    try:
-        return int(os.environ.get("FASTCHAIN_THREADS", "0"))
-    except ValueError:
-        return 0
-
-
 def _cmd_eval(args) -> int:
     L = _load_generator(args.generator)
     pi = _load_pi(args.pi) if args.pi else invariant_measure(L)
-    rep = hitting_report(L, pi)
+    kern = hitting_kernel(L, pi)
     spec = spectrum(L)
-    lhs2, rhs2 = spectral_second_identity(L, pi)
-    kem = kemeny_times(L, pi)
     doc = {
-        "f": rep.f_value,
+        "f": kern.f,
         "spectrum": spec.to_json(),
-        "hitting": rep.to_json(),
+        "hitting": kern.report().to_json(),
         "pi": pi.to_json(),
         "checks": {
-            "hitting_vs_spectral": abs(rep.f_value - spec.sum_reciprocals(1)),
-            "spectral_second": abs(lhs2 - rhs2),
-            "kemeny_spread": float(kem.max() - kem.min()),
+            "hitting_vs_spectral": abs(kern.f - spec.sum_reciprocals(1)),
+            "spectral_second": abs(kern.h_mean - spec.sum_reciprocals(2)),
+            "kemeny_spread": float(kern.kemeny.max() - kern.kemeny.min()),
         },
     }
     if args.derivatives:
-        E = expected_hitting_times(L, pi)
-        cycles = _cycles_below(L)
         doc["derivatives"] = [
             {
                 "cycle": c.to_json(),
-                **derivative_report(L, pi, c, with_second=args.second).to_json(),
+                **derivative_report(L, pi, c, with_second=args.second, kernel=kern).to_json(),
             }
-            for c in cycles
+            for c in _cycles_below(L)
         ]
-        doc["m_bound"] = m_bound(L, pi)
-        doc["checks"]["m_vs_f_over_pimin_sq"] = float(
-            E.max() - rep.f_value / pi.pi_min ** 2)
+        doc["m_bound"] = kern.m_bound
+        doc["checks"]["m_vs_f_over_pimin_sq"] = float(kern.m_bound - kern.f / pi.pi_min ** 2)
     _emit(doc, args.output)
     return 0
 
@@ -168,7 +152,7 @@ def _cmd_optimize(args) -> int:
     doc = report.to_json()
     doc["checks"] = {
         "stationarity_gap": station.max_gap,
-        "f_recomputed": abs(station.f - report.f_min),
+        "f_recomputed": abs(eigentime_spectral(report.minimizer) - report.f_min),
     }
     _emit(doc, args.output)
     return 0 if report.converged else 3
@@ -392,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _thread_cap()
     if args.selftest:
         return _selftest()
     if not getattr(args, "command", None):

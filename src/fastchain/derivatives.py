@@ -27,19 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigentime import (
-    IdentityViolation,
-    _hitting_matrix,
-    _poisson_unchecked,
-    expected_hitting_times,
-    h_matrix,
-    inverse_speed,
-)
+from .eigentime import HittingKernel, IdentityViolation, hitting_kernel
 from .generator import (
     CycleDecomposition,
     Generator,
     ProbabilityVector,
-    _require_irreducible,
     combine,
     cycle_generator,
     equilibrium_rate,
@@ -83,36 +75,25 @@ def _as_direction(direction, pi: ProbabilityVector, tol: float = 1e-9) -> Genera
     return direction
 
 
-def _psi_columns(rates: np.ndarray, pi: np.ndarray, dir_rates: np.ndarray,
-                 E: np.ndarray) -> np.ndarray:
-    """psi_y for every y: anchored solutions of L psi = L_dir phi_y."""
-    n = rates.shape[0]
-    out = np.zeros((n, n))
-    for y in range(n):
-        out[:, y] = _poisson_unchecked(rates, dir_rates @ E[:, y], y)
-    return out
-
-
 def psi_solve(L: Generator, pi: ProbabilityVector, cycle: Cycle, y: int,
               check: bool = True) -> np.ndarray:
     """First-order response profile psi_y for a cycle direction.
 
     Solves L psi = L_A phi_y with psi(y) = 0, phi_y being the hitting-time
-    column to y.  With ``check`` on, the solution is compared against the
-    independent closed form
+    column to y, as psi = g(y) - g with g = Z L_A phi_y.  With ``check`` on,
+    the solution is compared against the independent closed form
 
         psi_y(x) = (1/n) sum_l (phi_y(a_{l+1}) - phi_y(a_l))
                                (phi_{a_l}(x) - phi_{a_l}(y)),
 
     and an :class:`IdentityViolation` is raised beyond 1e-8 disagreement.
-    The linear-solve value is returned.
+    The fundamental-matrix value is returned.
     """
-    _require_irreducible(L)
-    E = expected_hitting_times(L, pi)
-    dir_rates = cycle_generator(pi, cycle).rates
-    psi = _poisson_unchecked(L.rates, dir_rates @ E[:, y], y)
+    kern = hitting_kernel(L, pi)
+    g = kern.Z @ (cycle_generator(pi, cycle).rates @ kern.E[:, y])
+    psi = g[y] - g
     if check:
-        closed = _psi_closed_form(E, cycle, y)
+        closed = _psi_closed_form(kern.E, cycle, y)
         err = float(np.abs(psi - closed).max())
         if err > 1e-8:
             raise IdentityViolation(f"psi closed-form disagreement {err!r}")
@@ -129,20 +110,18 @@ def _psi_closed_form(E: np.ndarray, cycle: Cycle, y: int) -> np.ndarray:
 
 def h_cycle(L: Generator, pi: ProbabilityVector, cycle: Cycle) -> float:
     """Arc-average of the perturbation kernel along a cycle: H_A(L)."""
-    H = h_matrix(L, pi, check=False)
-    return _h_cycle_from_matrix(H, cycle)
+    return hitting_kernel(L, pi).h_cycle(cycle)
 
 
-def _h_cycle_from_matrix(H: np.ndarray, cycle: Cycle) -> float:
-    return float(sum(H[a, b] for a, b in cycle.arcs())) / len(cycle)
+def _h_direction(kern: HittingKernel, direction: Generator) -> float:
+    off = direction.rates.copy()
+    np.fill_diagonal(off, 0.0)
+    return float(np.sum(kern.pi.weights[:, None] * off * kern.h))
 
 
 def h_direction(L: Generator, pi: ProbabilityVector, direction: Generator) -> float:
     """H for a general direction: sum_{x != y} pi(x) L_dir(x,y) h(x,y)."""
-    H = h_matrix(L, pi, check=False)
-    off = direction.rates.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sum(pi.weights[:, None] * off * H))
+    return _h_direction(hitting_kernel(L, pi), direction)
 
 
 def directional_derivative(L: Generator, pi: ProbabilityVector, direction) -> float:
@@ -153,15 +132,22 @@ def directional_derivative(L: Generator, pi: ProbabilityVector, direction) -> fl
     checked at 1e-9 and :class:`DirectionInvalid` raised otherwise.  For a
     cycle A the value is F(L) - H_A(L).
     """
-    f = inverse_speed(L, pi)
+    kern = hitting_kernel(L, pi)
     if isinstance(direction, Cycle):
-        return f - h_cycle(L, pi, direction)
-    gen = _as_direction(direction, pi)
-    return f - h_direction(L, pi, gen)
+        return kern.f - kern.h_cycle(direction)
+    return kern.f - _h_direction(kern, _as_direction(direction, pi))
 
 
-def h_cross(L: Generator, pi: ProbabilityVector, cycle_a: Cycle, cycle_b: Cycle,
-            E: np.ndarray | None = None, H: np.ndarray | None = None) -> float:
+def _h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
+    a = np.asarray(cycle_a.vertices)
+    b = np.asarray(cycle_b.vertices)[:, None]
+    a1, b1 = np.roll(a, -1), np.roll(b, -1, axis=0)
+    H, E = kern.h, kern.E
+    total = np.sum((H[b, a1] - H[b, a]) * (E[b1, a] - E[b, a]))
+    return float(total) / (len(cycle_a) * len(cycle_b))
+
+
+def h_cross(L: Generator, pi: ProbabilityVector, cycle_a: Cycle, cycle_b: Cycle) -> float:
     """Chained second-order term H_{B,A}(L) for cycle directions.
 
     Equals sum_y pi(y) pi[Psi_y] where Psi_y solves L Psi = L_B psi_y and
@@ -171,27 +157,34 @@ def h_cross(L: Generator, pi: ProbabilityVector, cycle_a: Cycle, cycle_b: Cycle,
         (1/(n_A n_B)) sum_{l,k} (h(b_k, a_{l+1}) - h(b_k, a_l))
                                 (phi_{a_l}(b_{k+1}) - phi_{a_l}(b_k)).
     """
-    if E is None:
-        E = expected_hitting_times(L, pi)
-    if H is None:
-        H = h_matrix(L, pi, check=False)
-    total = 0.0
-    for a, a1 in cycle_a.arcs():
-        for b, b1 in cycle_b.arcs():
-            total += (H[b, a1] - H[b, a]) * (E[b1, a] - E[b, a])
-    return total / (len(cycle_a) * len(cycle_b))
+    return _h_cross(hitting_kernel(L, pi), cycle_a, cycle_b)
 
 
-def _mean_psi_cross_direct(L: Generator, pi: ProbabilityVector,
-                           dir_a: Generator, dir_b: Generator) -> float:
-    """sum_y pi(y) pi[Psi_y] by two chained anchored solves (oracle path)."""
-    E = _hitting_matrix(L.rates, pi.weights)
-    psi = _psi_columns(L.rates, pi.weights, dir_a.rates, E)
-    total = 0.0
-    for y in range(L.n):
-        big_psi = _poisson_unchecked(L.rates, dir_b.rates @ psi[:, y], y)
-        total += pi[y] * float(pi.weights @ big_psi)
-    return total
+def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray, rates_b: np.ndarray) -> float:
+    """sum_y pi(y) pi[Psi_y] straight from the fundamental matrix.
+
+    The mean-zero solutions are psi_y = -Z L_A phi_y and
+    Psi_y = Z L_B Z L_A phi_y; anchoring Psi_y at y and averaging it over pi
+    (pi Z = pi, pi L_B = 0) leaves -(Z L_B Z L_A E)[y, y].
+    """
+    Z = kern.Z
+    chained = Z @ rates_b @ Z @ rates_a @ kern.E
+    return -float(kern.pi.weights @ np.diag(chained))
+
+
+def _second_directional(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle,
+                        check: bool) -> float:
+    rates_a = cycle_generator(kern.pi, cycle_a).rates
+    rates_b = cycle_generator(kern.pi, cycle_b).rates
+    cross_ba = _mean_psi_cross(kern, rates_a, rates_b)
+    cross_ab = _mean_psi_cross(kern, rates_b, rates_a)
+    if check:
+        assembled = _h_cross(kern, cycle_a, cycle_b)
+        if abs(assembled - cross_ba) > 1e-8:
+            raise IdentityViolation(
+                f"chained term mismatch: assembled {assembled!r} vs solved {cross_ba!r}")
+    return (2.0 * kern.f - 2.0 * kern.h_cycle(cycle_a) - 2.0 * kern.h_cycle(cycle_b)
+            + cross_ab + cross_ba)
 
 
 def second_directional(L: Generator, pi: ProbabilityVector, cycle_a: Cycle,
@@ -205,32 +198,18 @@ def second_directional(L: Generator, pi: ProbabilityVector, cycle_a: Cycle,
     2 F - 2 H_A - 2 H_B + H_{A,B} + H_{B,A}, which reduces to the former
     when the cycles coincide and matches mixed central finite differences.
 
-    With ``check`` on, every chained term is cross-validated against the
-    direct double-solve route at 1e-8.
+    The chained terms come from -sum_y pi(y) (Z L_B Z L_A E)[y, y], which
+    keeps its accuracy where the arc-sum assembly of :func:`h_cross`
+    cancels large entries of h; with ``check`` on, the assembly is
+    compared against it at 1e-8.
     """
-    if cycle_b is None:
-        cycle_b = cycle_a
-    _require_irreducible(L)
-    E = expected_hitting_times(L, pi)
-    H = h_matrix(L, pi, check=False)
-    f = float(pi.weights @ E @ pi.weights)
-    h_a = _h_cycle_from_matrix(H, cycle_a)
-    h_b = _h_cycle_from_matrix(H, cycle_b)
-    cross_ba = h_cross(L, pi, cycle_a, cycle_b, E=E, H=H)
-    cross_ab = h_cross(L, pi, cycle_b, cycle_a, E=E, H=H)
-    if check:
-        gen_a = cycle_generator(pi, cycle_a)
-        gen_b = cycle_generator(pi, cycle_b)
-        direct = _mean_psi_cross_direct(L, pi, gen_a, gen_b)
-        if abs(direct - cross_ba) > 1e-8:
-            raise IdentityViolation(
-                f"chained term mismatch: assembled {cross_ba!r} vs solved {direct!r}")
-    return 2.0 * f - 2.0 * h_a - 2.0 * h_b + cross_ab + cross_ba
+    return _second_directional(hitting_kernel(L, pi), cycle_a,
+                               cycle_a if cycle_b is None else cycle_b, check)
 
 
 def m_bound(L: Generator, pi: ProbabilityVector) -> float:
     """M(L) = max_{x,y} E_x[tau_y]; controls all derivative bounds."""
-    return float(expected_hitting_times(L, pi).max())
+    return hitting_kernel(L, pi).m_bound
 
 
 @dataclass(frozen=True)
@@ -252,15 +231,19 @@ class DerivativeReport:
 
 
 def derivative_report(L: Generator, pi: ProbabilityVector, cycle: Cycle,
-                      with_second: bool = False) -> DerivativeReport:
-    """F, H_A, first and (optionally) second derivative along one cycle."""
-    f = inverse_speed(L, pi)
-    h_a = h_cycle(L, pi, cycle)
-    second = second_directional(L, pi, cycle) if with_second else None
+                      with_second: bool = False,
+                      kernel: HittingKernel | None = None) -> DerivativeReport:
+    """F, H_A, first and (optionally) second derivative along one cycle.
+
+    ``kernel``, the :func:`~fastchain.eigentime.hitting_kernel` of (L, pi),
+    lets the reports for many cycles share one factorization.
+    """
+    kern = hitting_kernel(L, pi) if kernel is None else kernel
+    h_a = kern.h_cycle(cycle)
     return DerivativeReport(
-        f_value=f,
+        f_value=kern.f,
         h_cycle=h_a,
-        first=f - h_a,
-        second=second,
-        m_bound=m_bound(L, pi),
+        first=kern.f - h_a,
+        second=_second_directional(kern, cycle, cycle, True) if with_second else None,
+        m_bound=kern.m_bound,
     )

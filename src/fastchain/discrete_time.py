@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigentime import _fundamental
 from .generator import (
     Generator,
     NotInvariant,
@@ -102,15 +103,20 @@ def _require_kernel_invariant(K: Kernel, pi: ProbabilityVector):
 
 
 def discrete_hitting_times(K: Kernel) -> np.ndarray:
-    """E_x[tau_y] for the chain with kernel K, by first-step analysis."""
+    """E_x[tau_y] for the chain with kernel K, counted in steps.
+
+    Taking the steps of K at the rings of a unit-rate Poisson clock gives
+    the generator L = K - I with the same mean hitting times.  For any q
+    with sum q = 1, H = (1 q^T - L)^{-1} satisfies -L H = I - 1 pi^T and
+    q^T H = pi^T, so E[x, y] = (H[y, y] - H[x, y]) / pi(y) with pi read off
+    H.  Uniform q needs no pi, and inverts a different matrix from
+    :func:`hunter_trace`, which keeps the two an independent check.
+    """
     _require_kernel_irreducible(K)
     n = K.n
-    E = np.zeros((n, n))
-    for y in range(n):
-        keep = [i for i in range(n) if i != y]
-        A = np.eye(n - 1) - K.entries[np.ix_(keep, keep)]
-        E[keep, y] = np.linalg.solve(A, np.ones(n - 1))
-    return E
+    H = np.linalg.inv(np.full((n, n), 1.0 / n) + np.eye(n) - K.entries)
+    pi = H.mean(axis=0)
+    return (np.diag(H)[None, :] - H) / pi[None, :]
 
 
 def frak_f(K: Kernel, pi: ProbabilityVector) -> float:
@@ -232,14 +238,12 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0,
         f_best = min(f_best, brute_force_minimize(g, pi, res).f_min)
 
     p = pi.weights
-    tile = np.tile(p, (pi.n, 1))
 
     def discrete_objective(w: np.ndarray) -> float:
         if not poly.is_irreducible(w):
             return np.inf
         rates = poly.rates(w)
-        Z = np.linalg.inv(tile - rates)
-        E = (np.diag(Z)[None, :] - Z) / p[None, :]
+        _, E = _fundamental(rates, p)
         return float((-np.diag(rates)).max()) * float(p @ E @ p)
 
     # the continuous minimizer is the natural warm start: when its exit
@@ -252,15 +256,6 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0,
         gap=float(val - f_best),
         kernel_weights=w,
     )
-
-
-def _disc_value(rates: np.ndarray, pi: np.ndarray) -> float:
-    """maxrate(L) * F(L) for a rate matrix, the K0 kernel objective."""
-    from .eigentime import _hitting_matrix
-
-    l = float((-np.diag(rates)).max())
-    E = _hitting_matrix(rates, pi)
-    return l * float(pi @ E @ pi)
 
 
 def _pattern_search(fun, m: int, seed: int = 0, rounds: int = 2,

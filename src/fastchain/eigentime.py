@@ -5,12 +5,18 @@ The central functional is
     F(L) = sum_{x,y} pi(x) pi(y) E_x[tau_y],
 
 the mean time for the process generated by L to travel between two
-independent samples of its invariant law.  Everything here is computed from
-anchored Poisson solves: the column of expected hitting times to y is the
-unique g with L g = f_y, g(y) = 0, where f_y = 1_y / pi(y) - 1.  Second
-moments come from a second, chained Poisson solve, and the eigentime
-identity F(L) = sum over nonzero eigenvalues of -L of 1/lambda provides an
-independent spectral route used for cross-checking throughout.
+independent samples of its invariant law.  Every hitting-time functional of
+one generator comes from a single factorization: with the fundamental
+matrix Z = (Pi - L)^{-1}, Pi the rank-one matrix of rows pi (Kemeny and
+Snell, Finite Markov Chains, 1960), the mean-zero solution of L g = r is
+g = -Z r for every pi-centered r, so
+
+    E_x[tau_y] = (Z[y, y] - Z[x, y]) / pi(y),
+
+and the chained solves behind second moments and the perturbation kernel h
+are columns of W = Z E.  :class:`HittingKernel` holds all of them.  The
+eigentime identity F(L) = sum over nonzero eigenvalues of -L of 1/lambda
+gives an independent spectral route used for cross-checking throughout.
 """
 
 from __future__ import annotations
@@ -20,14 +26,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .generator import Generator, NotInvariant, ProbabilityVector, _require_irreducible
+from .graph import Cycle
 from .rng import RandomStream
 
 __all__ = [
     "Spectrum",
     "HittingReport",
+    "HittingKernel",
     "NotCentered",
     "SpectrumAmbiguous",
     "IdentityViolation",
+    "hitting_kernel",
     "poisson_solve",
     "expected_hitting_times",
     "kemeny_times",
@@ -96,10 +105,80 @@ class HittingReport:
         }
 
 
-def _center_indicator(pi: ProbabilityVector, y: int) -> np.ndarray:
-    f = np.full(pi.n, -1.0)
-    f[y] += 1.0 / pi[y]
-    return f
+def _fundamental(rates: np.ndarray, p: np.ndarray) -> tuple:
+    """(Z, E): Z = (Pi - L)^{-1} and E[x, y] = (Z[y, y] - Z[x, y]) / pi(y)."""
+    Z = np.linalg.inv(np.tile(p, (len(p), 1)) - rates)
+    return Z, (np.diag(Z)[None, :] - Z) / p[None, :]
+
+
+@dataclass(frozen=True, eq=False)
+class HittingKernel:
+    """Every hitting-time functional of one (L, pi), from one inverse of Pi - L.
+
+    ``E`` holds the expected hitting times E_x[tau_y].  With W = Z E, the
+    anchored solution of L aux = phi_y - pi[phi_y] (phi_y the column of E to
+    y, aux(y) = 0) is aux[:, y] = W[y, y] - W[:, y]; it gives the second
+    moments E_x[tau_y^2] = 2 (pi[phi_y] phi_y(x) - aux[x, y]) and the
+    perturbation kernel h(x, y) = -aux[y, x].  ``kemeny`` is the vector
+    E pi, ``f`` is F(L), ``h_mean`` is pi h pi (which equals sum 1/lambda^2)
+    and ``m_bound`` is M(L) = max E.
+    """
+
+    pi: ProbabilityVector
+    Z: np.ndarray
+    E: np.ndarray
+    second_moments: np.ndarray
+    h: np.ndarray
+    kemeny: np.ndarray
+    f: float
+    h_mean: float
+    m_bound: float
+
+    def h_cycle(self, cycle: Cycle) -> float:
+        """H_A: the average of h over the arcs of the cycle."""
+        v = np.asarray(cycle.vertices)
+        return float(self.h[v, np.roll(v, -1)].mean())
+
+    def report(self) -> HittingReport:
+        return HittingReport(
+            expectations=self.E,
+            second_moments=self.second_moments,
+            kemeny=float(self.kemeny.mean()),
+            f_value=self.f,
+            h=self.h,
+        )
+
+
+def hitting_kernel(L: Generator, pi: ProbabilityVector) -> HittingKernel:
+    """Build the :class:`HittingKernel` of L: one irreducibility test, one
+    invariance test and one inverse of Pi - L.
+
+    Raises
+    ------
+    NotIrreducible
+    NotInvariant
+        If pi is not invariant for L within 1e-9.
+    """
+    _require_irreducible(L)
+    p = pi.weights
+    resid = float(np.abs(p @ L.rates).max())
+    if resid > 1e-9:
+        raise NotInvariant(f"pi L residual {resid!r}")
+    Z, E = _fundamental(L.rates, p)
+    W = Z @ E
+    aux = np.diag(W)[None, :] - W
+    h = -aux.T
+    return HittingKernel(
+        pi=pi,
+        Z=Z,
+        E=E,
+        second_moments=2.0 * ((p @ E)[None, :] * E - aux),
+        h=h,
+        kemeny=E @ p,
+        f=float(p @ E @ p),
+        h_mean=float(p @ h @ p),
+        m_bound=float(E.max()),
+    )
 
 
 def poisson_solve(L: Generator, pi: ProbabilityVector, rhs: np.ndarray, anchor: int) -> np.ndarray:
@@ -123,38 +202,20 @@ def poisson_solve(L: Generator, pi: ProbabilityVector, rhs: np.ndarray, anchor: 
     if abs(float(pi.weights @ rhs)) > 1e-9:
         raise NotCentered(f"pi-mean of rhs is {float(pi.weights @ rhs)!r}")
     _require_irreducible(L)
-    return _poisson_unchecked(L.rates, rhs, anchor)
-
-
-def _poisson_unchecked(rates: np.ndarray, rhs: np.ndarray, anchor: int) -> np.ndarray:
-    n = rates.shape[0]
-    keep = [i for i in range(n) if i != anchor]
-    A = rates[np.ix_(keep, keep)]
-    g = np.zeros(n)
-    g[keep] = np.linalg.solve(A, rhs[keep])
+    keep = [i for i in range(L.n) if i != anchor]
+    g = np.zeros(L.n)
+    g[keep] = np.linalg.solve(L.rates[np.ix_(keep, keep)], rhs[keep])
     return g
-
-
-def _hitting_matrix(rates: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    """Matrix with entry (x, y) = E_x[tau_y], by one anchored solve per column."""
-    n = rates.shape[0]
-    E = np.zeros((n, n))
-    for y in range(n):
-        f = np.full(n, -1.0)
-        f[y] += 1.0 / pi[y]
-        E[:, y] = _poisson_unchecked(rates, f, y)
-    return E
 
 
 def expected_hitting_times(L: Generator, pi: ProbabilityVector) -> np.ndarray:
     """E_x[tau_y] for all pairs; diagonal is zero."""
-    _require_irreducible(L)
-    return _hitting_matrix(L.rates, pi.weights)
+    return hitting_kernel(L, pi).E
 
 
 def kemeny_times(L: Generator, pi: ProbabilityVector) -> np.ndarray:
     """Vector of sum_y pi(y) E_x[tau_y]; constant in x (the Kemeny constant)."""
-    return expected_hitting_times(L, pi) @ pi.weights
+    return hitting_kernel(L, pi).kemeny
 
 
 def inverse_speed(L: Generator, pi: ProbabilityVector) -> float:
@@ -166,11 +227,7 @@ def inverse_speed(L: Generator, pi: ProbabilityVector) -> float:
         If pi is not invariant for L within 1e-9.
     NotIrreducible
     """
-    resid = float(np.abs(pi.weights @ L.rates).max())
-    if resid > 1e-9:
-        raise NotInvariant(f"pi L residual {resid!r}")
-    E = expected_hitting_times(L, pi)
-    return float(pi.weights @ E @ pi.weights)
+    return hitting_kernel(L, pi).f
 
 
 def spectrum(L: Generator) -> Spectrum:
@@ -202,56 +259,25 @@ def eigentime_spectral(L: Generator) -> float:
 
 
 def second_moment_hitting(L: Generator, pi: ProbabilityVector) -> np.ndarray:
-    """E_x[tau_y^2] for all pairs, via a chained pair of Poisson solves.
+    """E_x[tau_y^2] for all pairs.
 
     With phi_y the hitting-time column to y and aux_y the anchored solution
     of L aux = phi_y - pi[phi_y], the second moment is
     2 (pi[phi_y] phi_y(x) - aux_y(x)).  A Monte Carlo oracle for this
     formula is :func:`simulate_hitting`.
     """
-    _require_irreducible(L)
-    n = L.n
-    E = _hitting_matrix(L.rates, pi.weights)
-    M2 = np.zeros((n, n))
-    for y in range(n):
-        phi = E[:, y]
-        mean = float(pi.weights @ phi)
-        aux = _poisson_unchecked(L.rates, phi - mean, y)
-        M2[:, y] = 2.0 * (mean * phi - aux)
-    return M2
+    return hitting_kernel(L, pi).second_moments
 
 
-def h_matrix(L: Generator, pi: ProbabilityVector, check: bool = True) -> np.ndarray:
-    """First-order perturbation kernel h(x, y) = E_y[tau_x^2]/2 - E_pi[tau_x] E_y[tau_x].
-
-    Computed as minus the chained-Poisson solution evaluated crosswise; when
-    ``check`` is set the moment-formula route is evaluated too and the two
-    must agree within 1e-8.
-    """
-    _require_irreducible(L)
-    n = L.n
-    E = _hitting_matrix(L.rates, pi.weights)
-    H = np.zeros((n, n))
-    for x in range(n):
-        phi = E[:, x]
-        mean = float(pi.weights @ phi)
-        aux = _poisson_unchecked(L.rates, phi - mean, x)
-        H[x, :] = -aux
-    if check:
-        M2 = second_moment_hitting(L, pi)
-        means = pi.weights @ E
-        alt = 0.5 * M2.T - means[:, None] * E.T
-        err = float(np.abs(H - alt).max())
-        if err > 1e-8:
-            raise IdentityViolation(f"h-matrix two-path disagreement {err!r}")
-    return H
+def h_matrix(L: Generator, pi: ProbabilityVector) -> np.ndarray:
+    """First-order perturbation kernel h(x, y) = E_y[tau_x^2]/2 - E_pi[tau_x] E_y[tau_x],
+    computed as minus the chained-Poisson solution evaluated crosswise."""
+    return hitting_kernel(L, pi).h
 
 
 def spectral_second_identity(L: Generator, pi: ProbabilityVector) -> tuple:
     """Both sides of sum_{x,y} pi(x) pi(y) h(x,y) = sum 1/lambda^2."""
-    lhs = float(pi.weights @ h_matrix(L, pi, check=False) @ pi.weights)
-    rhs = spectrum(L).sum_reciprocals(2)
-    return lhs, rhs
+    return hitting_kernel(L, pi).h_mean, spectrum(L).sum_reciprocals(2)
 
 
 @dataclass(frozen=True)
@@ -279,8 +305,7 @@ def return_time_identities(L: Generator, pi: ProbabilityVector, y: int) -> Retur
     rather than asserted.  The identities that do hold unconditionally are
     the target-averaged (Kemeny) ones, see :func:`kemeny_times`.
     """
-    _require_irreducible(L)
-    E = expected_hitting_times(L, pi)
+    E = hitting_kernel(L, pi).E
     s = spectrum(L).sum_reciprocals(1)
     hitting_avg = float(pi.weights @ E[:, y])
     rate_y = -L.rates[y, y]
@@ -354,17 +379,7 @@ def simulate_hitting(L: Generator, x: int, y: int, samples: int, seed: int) -> S
 
 def hitting_report(L: Generator, pi: ProbabilityVector) -> HittingReport:
     """Assemble expectations, second moments, Kemeny constant, F, and h."""
-    E = expected_hitting_times(L, pi)
-    M2 = second_moment_hitting(L, pi)
-    H = h_matrix(L, pi, check=False)
-    kem = E @ pi.weights
-    return HittingReport(
-        expectations=E,
-        second_moments=M2,
-        kemeny=float(kem.mean()),
-        f_value=float(pi.weights @ E @ pi.weights),
-        h=H,
-    )
+    return hitting_kernel(L, pi).report()
 
 
 def hamiltonian_speed_value(pi: ProbabilityVector) -> float:

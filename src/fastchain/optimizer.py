@@ -19,6 +19,7 @@ from math import log
 
 import numpy as np
 
+from .eigentime import _fundamental, hitting_kernel
 from .generator import Generator, ProbabilityVector, cycle_generator
 from .graph import DirectedGraph, enumerate_simple_cycles, is_strongly_connected
 from .rng import RandomStream
@@ -101,24 +102,12 @@ class CyclePolytope:
     def is_irreducible(self, w: np.ndarray, tol: float = 0.0) -> bool:
         return _support_strongly_connected(self.rates(w), tol)
 
-    def _hitting(self, rates: np.ndarray) -> tuple:
-        """Hitting times through the fundamental matrix Z = (Pi - L)^{-1}.
-
-        The mean-zero Poisson solution of L g = r is -Z r, so
-        E_x[tau_y] = (Z[y,y] - Z[x,y]) / pi(y).  Agrees with the per-column
-        anchored solves used by the public operations; the two routes are
-        cross-checked in the test suite.  Returns (E, Z).
-        """
-        p = self.pi.weights
-        Z = np.linalg.inv(np.tile(p, (len(p), 1)) - rates)
-        return (np.diag(Z)[None, :] - Z) / p[None, :], Z
-
     def f_value(self, w: np.ndarray) -> float:
         """F of the mixture, +inf when the support is not irreducible."""
         if not self.is_irreducible(w):
             return np.inf
-        E, _ = self._hitting(self.rates(w))
         p = self.pi.weights
+        _, E = _fundamental(self.rates(w), p)
         return float(p @ E @ p)
 
     def f_and_h(self, w: np.ndarray) -> tuple:
@@ -127,7 +116,7 @@ class CyclePolytope:
             return np.inf, None
         rates = self.rates(w)
         p = self.pi.weights
-        E, Z = self._hitting(rates)
+        Z, E = _fundamental(rates, p)
         W = Z @ E
         H = W.T - np.diag(W)[:, None]
         f = float(p @ E @ p)
@@ -138,9 +127,15 @@ class CyclePolytope:
 
 
 def _support_strongly_connected(rates: np.ndarray, tol: float = 0.0) -> bool:
-    adj = rates > tol
-    np.fill_diagonal(adj, True)
-    return bool(np.linalg.matrix_power(adj.astype(float), rates.shape[0]).all())
+    """Transitive closure of the support by boolean squaring: after k
+    squarings ``reach`` holds every walk of length up to 2^k, and
+    ceil(log2 n) squarings cover the n - 1 steps of any path.  Boolean
+    products stay in {0, 1}, unlike floating walk counts, which overflow."""
+    reach = rates > tol
+    np.fill_diagonal(reach, True)
+    for _ in range((rates.shape[0] - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
 
 
 def _line_search(fun, lo: float, hi: float, presamples: int = 33,
@@ -356,15 +351,13 @@ def stationarity_check(L: Generator, pi: ProbabilityVector, cycles) -> Stationar
     has H_A = F, and every other cycle has H_A <= F; ``max_gap`` is the
     worst violation of the applicable condition over the given cycles.
     """
-    from .eigentime import h_matrix, inverse_speed
-
-    f = inverse_speed(L, pi)
-    H = h_matrix(L, pi, check=False)
+    kern = hitting_kernel(L, pi)
+    f = kern.f
     hvals = []
     below = []
     gaps = []
     for c in cycles:
-        h_a = float(sum(H[a, b] for a, b in c.arcs())) / len(c)
+        h_a = kern.h_cycle(c)
         is_below = all(L.rates[a, b] > 1e-12 for a, b in c.arcs())
         hvals.append(h_a)
         below.append(is_below)

@@ -4,12 +4,14 @@ Random suites are drawn from the package's own deterministic stream so
 every run sees the same instances.  Polytope members are sampled as cycle
 mixtures, which spans the full feasible set (mixtures of the extreme
 points) and guarantees pi-invariance by construction.
+
+The anchored oracles solve one reduced linear system per column, a route
+independent of the fundamental-matrix kernel the package uses.
 """
 
 import numpy as np
 import pytest
 
-from fastchain.eigentime import _hitting_matrix
 from fastchain.generator import Generator, ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, enumerate_simple_cycles, segment_graph
 from fastchain.rng import RandomStream
@@ -55,10 +57,60 @@ def random_member(g: DirectedGraph, pi: ProbabilityVector, stream: RandomStream,
     return Generator(rates), cycles, w
 
 
+def anchored_solve(rates: np.ndarray, rhs: np.ndarray, anchor: int) -> np.ndarray:
+    """Solve L g = rhs with g(anchor) = 0 by dropping the anchor row and column."""
+    n = rates.shape[0]
+    keep = [i for i in range(n) if i != anchor]
+    g = np.zeros(n)
+    g[keep] = np.linalg.solve(rates[np.ix_(keep, keep)], rhs[keep])
+    return g
+
+
+def anchored_hitting_times(rates: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """E_x[tau_y], one anchored solve of L g = 1_y / pi(y) - 1 per column."""
+    n = rates.shape[0]
+    E = np.zeros((n, n))
+    for y in range(n):
+        f = np.full(n, -1.0)
+        f[y] += 1.0 / pi[y]
+        E[:, y] = anchored_solve(rates, f, y)
+    return E
+
+
+def anchored_moments(rates: np.ndarray, pi: np.ndarray) -> tuple:
+    """(E, M2, h) by chained anchored solves: aux_y solves
+    L aux = phi_y - pi[phi_y] with aux(y) = 0, M2[:, y] = 2 (pi[phi_y] phi_y - aux_y)
+    and h[y, :] = -aux_y."""
+    E = anchored_hitting_times(rates, pi)
+    n = rates.shape[0]
+    M2 = np.zeros((n, n))
+    H = np.zeros((n, n))
+    for y in range(n):
+        phi = E[:, y]
+        mean = float(pi @ phi)
+        aux = anchored_solve(rates, phi - mean, y)
+        M2[:, y] = 2.0 * (mean * phi - aux)
+        H[y, :] = -aux
+    return E, M2, H
+
+
+def anchored_mean_psi_cross(rates: np.ndarray, pi: np.ndarray, rates_a: np.ndarray,
+                            rates_b: np.ndarray) -> float:
+    """sum_y pi(y) pi[Psi_y] by two chained anchored solves per y: psi_y solves
+    L psi = L_A phi_y and Psi_y solves L Psi = L_B psi_y, both pinned at y."""
+    E = anchored_hitting_times(rates, pi)
+    total = 0.0
+    for y in range(rates.shape[0]):
+        psi = anchored_solve(rates, rates_a @ E[:, y], y)
+        big_psi = anchored_solve(rates, rates_b @ psi, y)
+        total += pi[y] * float(pi @ big_psi)
+    return total
+
+
 def f_reference(rates: np.ndarray, pi: ProbabilityVector) -> float:
     """F through the anchored-solve hitting matrix (finite-difference oracle
-    path, independent of the optimizer's fundamental-matrix shortcut)."""
-    E = _hitting_matrix(rates, pi.weights)
+    path, independent of the package's fundamental-matrix kernel)."""
+    E = anchored_hitting_times(rates, pi.weights)
     return float(pi.weights @ E @ pi.weights)
 
 

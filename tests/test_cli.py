@@ -50,6 +50,13 @@ def test_eval_derivatives_block(ham3_file, capsys):
     assert abs(entries[(0, 1, 2)]["first"]) <= 1e-10
 
 
+def test_eval_rejects_non_invariant_pi(ham3_file, tmp_path, capsys):
+    ppath = write(tmp_path, "pi.json", [0.5, 0.25, 0.25])
+    code, out, err = run_cli(["eval", "--generator", ham3_file, "--pi", ppath], capsys)
+    assert code == 2 and out == ""
+    assert "residual" in err
+
+
 def test_eval_byte_determinism(ham3_file, pi3_file, capsys):
     _, out1, _ = run_cli(["eval", "--generator", ham3_file, "--pi", pi3_file], capsys)
     _, out2, _ = run_cli(["eval", "--generator", ham3_file, "--pi", pi3_file], capsys)

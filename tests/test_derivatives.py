@@ -3,6 +3,7 @@ import pytest
 
 from fastchain.derivatives import (
     DirectionInvalid,
+    _mean_psi_cross,
     derivative_report,
     directional_derivative,
     h_cross,
@@ -11,7 +12,7 @@ from fastchain.derivatives import (
     psi_solve,
     second_directional,
 )
-from fastchain.eigentime import inverse_speed
+from fastchain.eigentime import hitting_kernel, inverse_speed
 from fastchain.generator import (
     Generator,
     ProbabilityVector,
@@ -21,7 +22,7 @@ from fastchain.generator import (
 from fastchain.graph import Cycle, complete_graph, enumerate_simple_cycles
 from fastchain.rng import RandomStream
 
-from conftest import f_reference, random_member, random_pi
+from conftest import anchored_mean_psi_cross, f_reference, random_member, random_pi
 
 
 def central_fd(L, pi, cycle, eps=1e-5):
@@ -209,3 +210,20 @@ def test_h_cross_equals_direct_solves():
     L, cycles, _ = random_member(complete_graph(4), pi, s)
     val = h_cross(L, pi, cycles[1], cycles[4])
     assert np.isfinite(val)
+
+
+def test_chained_term_direct_route_matches_double_solve_oracle():
+    """-sum_y pi(y) (Z L_B Z L_A E)[y, y] against 2n anchored solves."""
+    stream = RandomStream(308)
+    for t in range(20):
+        s = stream.spawn(t)
+        n = 3 + t % 4
+        pi = random_pi(s, n)
+        L, cycles, _ = random_member(complete_graph(n), pi, s)
+        ca = cycles[int(s.uniform(1)[0] * len(cycles))]
+        cb = cycles[int(s.uniform(1)[0] * len(cycles))]
+        ra, rb = cycle_generator(pi, ca).rates, cycle_generator(pi, cb).rates
+        want = anchored_mean_psi_cross(L.rates, pi.weights, ra, rb)
+        got = _mean_psi_cross(hitting_kernel(L, pi), ra, rb)
+        assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+        assert abs(h_cross(L, pi, ca, cb) - want) <= 1e-8 * max(1.0, abs(want))

@@ -22,6 +22,17 @@ from fastchain.rng import RandomStream
 from conftest import random_member, random_pi
 
 
+def first_step_hitting_times(K: Kernel) -> np.ndarray:
+    """E_x[tau_y] by first-step analysis, one anchored solve per column."""
+    n = K.n
+    E = np.zeros((n, n))
+    for y in range(n):
+        keep = [i for i in range(n) if i != y]
+        A = np.eye(n - 1) - K.entries[np.ix_(keep, keep)]
+        E[keep, y] = np.linalg.solve(A, np.ones(n - 1))
+    return E
+
+
 def perm3():
     return Kernel(np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]]))
 
@@ -40,6 +51,21 @@ def test_permutation_kernel_values(pi3):
     assert abs(frak_f(K, pi3) - 1.0) <= 1e-12
     assert abs(discrete_eigentime_spectral(K) - 1.0) <= 1e-10
     assert abs(hunter_trace(K, pi3) - 2.0) <= 1e-12
+
+
+def test_discrete_hitting_times_match_first_step_oracle():
+    stream = RandomStream(410)
+    for t in range(20):
+        s = stream.spawn(t)
+        n = 3 + t % 5
+        pi = random_pi(s, n)
+        L, _, _ = random_member(complete_graph(n), pi, s)
+        K, _ = to_kernel(L)
+        lazy = Kernel(0.5 * K.entries + 0.5 * np.eye(n))
+        for kern in (K, lazy):
+            want = first_step_hitting_times(kern)
+            got = discrete_hitting_times(kern)
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
 def test_two_state_kernel():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fastchain.eigentime import (
@@ -9,6 +11,7 @@ from fastchain.eigentime import (
     expected_hitting_times,
     h_matrix,
     hamiltonian_speed_value,
+    hitting_kernel,
     hitting_report,
     inverse_speed,
     kemeny_times,
@@ -23,7 +26,7 @@ from fastchain.generator import Generator, ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, complete_graph
 from fastchain.rng import RandomStream
 
-from conftest import random_member, random_pi
+from conftest import anchored_moments, random_member, random_pi
 
 
 def h3(r):
@@ -135,7 +138,8 @@ def test_spectral_second_scaling(random_walk3, pi3):
 
 
 def test_random_suite_identities():
-    """Eigentime, second spectral identity, Kemeny constancy, h two-path."""
+    """Eigentime, second spectral identity, Kemeny constancy, h against the
+    anchored oracle."""
     stream = RandomStream(200)
     for t in range(60):
         s = stream.spawn(t)
@@ -148,7 +152,42 @@ def test_random_suite_identities():
         assert abs(lhs - rhs) <= 1e-8
         kem = kemeny_times(L, pi)
         assert kem.max() - kem.min() <= 1e-9
-        h_matrix(L, pi, check=True)  # raises on two-path disagreement
+        H_ref = anchored_moments(L.rates, pi.weights)[2]
+        assert np.abs(h_matrix(L, pi) - H_ref).max() <= 1e-8
+
+
+def random_cycle_mixture(n: int, seed: int):
+    """A Hamiltonian tour plus n random cycles (random length and vertex
+    order) under a random pi, mixed with weights log-uniform over three
+    decades."""
+    s = RandomStream(seed)
+    pi = random_pi(s, n)
+    cycles = [Cycle(s.shuffled(list(range(n))))]
+    for _ in range(n):
+        verts = s.shuffled(list(range(n)))
+        cycles.append(Cycle(verts[:2 + int(s.uniform(1)[0] * (n - 1))]))
+    w = 10.0 ** (-3.0 * s.uniform(len(cycles)))
+    w = w / w.sum()
+    rates = sum(wi * cycle_generator(pi, c).rates for wi, c in zip(w, cycles))
+    return Generator(rates), pi
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 40), st.integers(0, 2 ** 32 - 1))
+def test_kernel_matches_anchored_oracle(n, seed):
+    """E, M2, h, F and the Kemeny vector from one inverse of Pi - L agree
+    with the per-column anchored solves at 1e-8 relative."""
+    L, pi = random_cycle_mixture(n, seed)
+    kern = hitting_kernel(L, pi)
+    p = pi.weights
+    E, M2, H = anchored_moments(L.rates, p)
+    for got, want in ((kern.E, E), (kern.second_moments, M2), (kern.h, H)):
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+    f = float(p @ E @ p)
+    assert abs(kern.f - f) <= 1e-8 * f
+    assert np.abs(kern.kemeny - E @ p).max() <= 1e-8 * f
+    assert abs(kern.h_mean - float(p @ H @ p)) <= 1e-8 * abs(float(p @ H @ p))
+    assert kern.m_bound == kern.E.max()
 
 
 def test_return_time_identities_cycle(uniform_cycle3, pi3):

@@ -6,7 +6,9 @@ from fastchain.eigentime import inverse_speed
 from fastchain.generator import ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, complete_graph
 from fastchain.optimizer import (
+    CyclePolytope,
     TooManyCycles,
+    _support_strongly_connected,
     brute_force_minimize,
     epsilon_neighborhood,
     f_wedge,
@@ -167,3 +169,29 @@ def test_f_wedge_empirical_continuity(pi3):
         delta *= 1e-3 / np.abs(delta).sum()
         pi = ProbabilityVector(1.0 / 3 + delta)
         assert abs(f_wedge(k3, pi, seed=5) - base) <= 0.05
+
+
+def test_support_reachability_does_not_overflow():
+    """Walk counts on a dense 300-vertex support overflow a float, and inf * 0
+    gives NaN, which is truthy.  No arcs into vertex 0 must still read as
+    reducible; one arc into it makes the support strongly connected.  (A
+    CyclePolytope on such a support would need its astronomically many cycles
+    enumerated, so the test calls the helper behind is_irreducible.)"""
+    n = 300
+    rates = np.ones((n, n))
+    rates[:, 0] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    assert not _support_strongly_connected(rates)
+    rates[1, 0], rates[1, 1] = 1.0, rates[1, 1] - 1.0
+    assert _support_strongly_connected(rates)
+
+
+def test_is_irreducible_small_supports():
+    pi = ProbabilityVector.uniform(4)
+    poly = CyclePolytope(complete_graph(4), pi)
+    for k, c in enumerate(poly.cycles):
+        w = np.zeros(poly.m)
+        w[k] = 1.0
+        assert poly.is_irreducible(w) == (len(c) == 4)
+    assert poly.is_irreducible(np.full(poly.m, 1.0 / poly.m))
