@@ -23,16 +23,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eigentime import _fundamental
 from .generator import (
     Generator,
     NotInvariant,
     NotIrreducible,
     ProbabilityVector,
     _require_irreducible,
+    _support_strongly_connected,
 )
-from .graph import DirectedGraph, is_strongly_connected
-from .optimizer import CyclePolytope, f_wedge
+from .graph import DirectedGraph
+from .optimizer import CyclePolytope, _wedge
 
 __all__ = [
     "Kernel",
@@ -78,11 +78,6 @@ class Kernel:
     def n(self) -> int:
         return self.entries.shape[0]
 
-    def support_graph(self) -> DirectedGraph:
-        n = self.n
-        return DirectedGraph(n, [(i, j) for i in range(n) for j in range(n)
-                                 if i != j and self.entries[i, j] > 0])
-
     def to_json(self) -> dict:
         return {"n": self.n, "rates": [[float(v) for v in row] for row in self.entries]}
 
@@ -92,7 +87,7 @@ class Kernel:
 
 
 def _require_kernel_irreducible(K: Kernel):
-    if not is_strongly_connected(K.support_graph()):
+    if not _support_strongly_connected(K.entries):
         raise NotIrreducible("kernel support is not strongly connected")
 
 
@@ -224,27 +219,11 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0,
     grid plus pairwise pattern descent over the mixture weights (heuristic;
     exact closed forms back it up at desk scale in the tests).
     """
-    from .optimizer import brute_force_minimize, frank_wolfe_minimize
-
-    from .optimizer import _composition_count
-
     poly = CyclePolytope(g, pi, max_count)
-    report = frank_wolfe_minimize(g, pi, seed=seed, extra_starts=8, polytope=poly)
-    f_best = report.f_min
-    if poly.m <= 6:
-        res = 60
-        while res > 10 and _composition_count(res, poly.m) > 20_000:
-            res -= 1
-        f_best = min(f_best, brute_force_minimize(g, pi, res).f_min)
-
-    p = pi.weights
+    f_best, report = _wedge(poly, seed=seed)
 
     def discrete_objective(w: np.ndarray) -> float:
-        if not poly.is_irreducible(w):
-            return np.inf
-        rates = poly.rates(w)
-        _, E = _fundamental(rates, p)
-        return float((-np.diag(rates)).max()) * float(p @ E @ p)
+        return float((-np.diag(poly.rates(w))).max()) * poly.f_value(w)
 
     # the continuous minimizer is the natural warm start: when its exit
     # rates are constant it is already the discrete minimizer

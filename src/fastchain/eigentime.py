@@ -108,7 +108,12 @@ class HittingReport:
 def _fundamental(rates: np.ndarray, p: np.ndarray) -> tuple:
     """(Z, E): Z = (Pi - L)^{-1} and E[x, y] = (Z[y, y] - Z[x, y]) / pi(y)."""
     Z = np.linalg.inv(np.tile(p, (len(p), 1)) - rates)
-    return Z, (np.diag(Z)[None, :] - Z) / p[None, :]
+    return Z, _hitting_times(Z, p)
+
+
+def _hitting_times(Z: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """E from Z, for one fundamental matrix or a stack of them."""
+    return (Z.diagonal(axis1=-2, axis2=-1)[..., None, :] - Z) / p
 
 
 @dataclass(frozen=True, eq=False)

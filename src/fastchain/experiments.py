@@ -24,7 +24,7 @@ from math import sqrt
 
 import numpy as np
 
-from .eigentime import hamiltonian_speed_value, inverse_speed
+from .eigentime import eigentime_spectral, hamiltonian_speed_value, inverse_speed
 from .generator import (
     CycleDecomposition,
     Generator,
@@ -121,15 +121,8 @@ def build_cycle_tree_generator(g: DirectedGraph, short_cycle: Cycle,
     return Generator(rates)
 
 
-def extended_f(L: Generator) -> float:
-    """Spectral extension of the inverse speed to reducible generators with a
-    simple zero eigenvalue: sum of reciprocal nonzero eigenvalues of -L."""
-    vals = np.linalg.eigvals(-L.rates)
-    order = np.argsort(np.abs(vals))
-    s = np.sum(1.0 / vals[order[1:]])
-    if abs(s.imag) > 1e-8:
-        raise ArithmeticError(f"spectral sum has imaginary part {s.imag!r}")
-    return float(s.real)
+# the spectral extension of F to reducible generators with a simple zero eigenvalue
+extended_f = eigentime_spectral
 
 
 def spectrum_split(L_r: Generator, short_cycle: Cycle, r: float,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Cycle, DirectedGraph, is_strongly_connected
+from .graph import Cycle, DirectedGraph
 
 __all__ = [
     "ProbabilityVector",
@@ -173,8 +173,24 @@ def support_graph(L: Generator, tol: float = 0.0) -> DirectedGraph:
     return DirectedGraph(n, edges)
 
 
+def _support_strongly_connected(rates: np.ndarray) -> bool:
+    """True iff the positive off-diagonal entries of ``rates`` form a strongly
+    connected digraph, by transitive closure: after k squarings ``reach``
+    holds every walk of length up to 2^k, and ceil(log2 n) squarings cover
+    the n - 1 steps of any path.  The products run in BLAS and are clamped
+    back to 1 after each squaring, so entries stay in {0, 1} instead of
+    counting walks, which overflows; no entry of a product exceeds n, so the
+    clamp is exact."""
+    n = rates.shape[0]
+    reach = (rates > 0).astype(float)
+    reach.flat[::n + 1] = 1.0
+    for _ in range((n - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return bool(reach.all())
+
+
 def _require_irreducible(L: Generator):
-    if not is_strongly_connected(support_graph(L)):
+    if not _support_strongly_connected(L.rates):
         raise NotIrreducible("generator support is not strongly connected")
 
 

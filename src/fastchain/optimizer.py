@@ -9,18 +9,26 @@ cycle attaining the max is the steepest feasible descent vertex.  Steps are
 chosen by exact line search (presampled golden section), either toward the
 best vertex or pairwise from the worst supported vertex to the best, which
 lets iterates reach vertices and drop weights exactly.
+
+Each line search costs about 75 evaluations of F, so an evaluation is kept
+to one product for the rates, one irreducibility verdict memoized per rate
+support, and one inverse of Pi - L with Pi built once per polytope.  The 33
+presamples of a search go through :meth:`CyclePolytope.f_values` as one
+stacked inverse; the golden-section points call ``f_value`` one by one.
+Both give the same bits as the plain per-point route, so the path of the
+iteration, and every report, does not depend on these shortcuts.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import log
+from math import comb, log
 
 import numpy as np
 
-from .eigentime import _fundamental, hitting_kernel
-from .generator import Generator, ProbabilityVector, cycle_generator
+from .eigentime import _hitting_times, hitting_kernel
+from .generator import Generator, ProbabilityVector, _support_strongly_connected, cycle_generator
 from .graph import DirectedGraph, enumerate_simple_cycles, is_strongly_connected
 from .rng import RandomStream
 
@@ -77,7 +85,17 @@ class OptimizeReport:
 
 
 class CyclePolytope:
-    """Cycle-weight parametrization of the compatible normalized generators."""
+    """Cycle-weight parametrization of the compatible normalized generators.
+
+    Every F evaluation forms the mixture's rates by one product of the weight
+    vector with the flattened stack of cycle generators, and subtracts them
+    from the rank-one matrix Pi built once.  Off-diagonal rates are sums of
+    nonnegative terms, so whether a mixture is irreducible depends only on
+    which weights are positive.  The verdict is memoized per support of the
+    rate matrix rather than of the weights: the two agree except where a
+    positive weight is so small that w * rate rounds to 0 on some arc, and
+    there the rates are the ones that are right.
+    """
 
     def __init__(self, g: DirectedGraph, pi: ProbabilityVector,
                  max_count: int = 100_000):
@@ -88,7 +106,11 @@ class CyclePolytope:
         self.graph = g
         self.pi = pi
         self.cycles = tuple(enumerate_simple_cycles(g, max_count))
+        n = pi.n
         self._mats = np.stack([cycle_generator(pi, c).rates for c in self.cycles])
+        self._flat = self._mats.reshape(self.m, n * n)
+        self._Pi = np.tile(pi.weights, (n, 1))
+        self._connected = {}
         self._arc_rows = [np.array([a for a, _ in c.arcs()]) for c in self.cycles]
         self._arc_cols = [np.array([b for _, b in c.arcs()]) for c in self.cycles]
 
@@ -97,26 +119,45 @@ class CyclePolytope:
         return len(self.cycles)
 
     def rates(self, w: np.ndarray) -> np.ndarray:
-        return np.tensordot(w, self._mats, axes=1)
+        n = self.pi.n
+        return (w @ self._flat).reshape(n, n)
 
-    def is_irreducible(self, w: np.ndarray, tol: float = 0.0) -> bool:
-        return _support_strongly_connected(self.rates(w), tol)
+    def is_irreducible(self, w: np.ndarray) -> bool:
+        return self._irreducible(self.rates(w))
 
     def f_value(self, w: np.ndarray) -> float:
         """F of the mixture, +inf when the support is not irreducible."""
-        if not self.is_irreducible(w):
+        rates = self.rates(w)
+        if not self._irreducible(rates):
             return np.inf
         p = self.pi.weights
-        _, E = _fundamental(self.rates(w), p)
+        E = _hitting_times(np.linalg.inv(self._Pi - rates), p)
         return float(p @ E @ p)
+
+    def f_values(self, ws: np.ndarray) -> np.ndarray:
+        """``f_value`` of every row of ``ws``, bit for bit, with one stacked
+        inverse over the irreducible rows (reducible rows, which would be
+        singular, get +inf without entering the stack).  The rates stay one
+        product per row: a single product over the stacked rows rounds
+        differently."""
+        rates = [self.rates(w) for w in ws]
+        keep = [k for k, r in enumerate(rates) if self._irreducible(r)]
+        out = np.full(len(rates), np.inf)
+        if keep:
+            p = self.pi.weights
+            E = _hitting_times(np.linalg.inv(self._Pi - np.stack([rates[k] for k in keep])), p)
+            for k, E_k in zip(keep, E):
+                out[k] = float(p @ E_k @ p)
+        return out
 
     def f_and_h(self, w: np.ndarray) -> tuple:
         """F together with the vector of H_A over all enumerated cycles."""
-        if not self.is_irreducible(w):
-            return np.inf, None
         rates = self.rates(w)
+        if not self._irreducible(rates):
+            return np.inf, None
         p = self.pi.weights
-        Z, E = _fundamental(rates, p)
+        Z = np.linalg.inv(self._Pi - rates)
+        E = _hitting_times(Z, p)
         W = Z @ E
         H = W.T - np.diag(W)[:, None]
         f = float(p @ E @ p)
@@ -125,30 +166,31 @@ class CyclePolytope:
         ])
         return f, hvals
 
-
-def _support_strongly_connected(rates: np.ndarray, tol: float = 0.0) -> bool:
-    """Transitive closure of the support by boolean squaring: after k
-    squarings ``reach`` holds every walk of length up to 2^k, and
-    ceil(log2 n) squarings cover the n - 1 steps of any path.  Boolean
-    products stay in {0, 1}, unlike floating walk counts, which overflow."""
-    reach = rates > tol
-    np.fill_diagonal(reach, True)
-    for _ in range((rates.shape[0] - 1).bit_length()):
-        reach = reach @ reach
-    return bool(reach.all())
+    def _irreducible(self, rates: np.ndarray) -> bool:
+        key = (rates > 0).tobytes()
+        verdict = self._connected.get(key)
+        if verdict is None:
+            verdict = self._connected[key] = _support_strongly_connected(rates)
+        return verdict
 
 
-def _line_search(fun, lo: float, hi: float, presamples: int = 33,
-                 tol: float = 1e-10) -> tuple:
-    """Presampled golden-section minimization of fun on [lo, hi].
+def _line_search(poly: CyclePolytope, point, lo: float, hi: float,
+                 presamples: int = 33, tol: float = 1e-10) -> tuple:
+    """Presampled golden-section minimization of F(point(t)) on [lo, hi].
 
-    F is analytic but not guaranteed unimodal along segments, so a dense
-    presample picks the bracket first.  Exact endpoint values are compared
-    against the refined interior candidate, so boundary minima are returned
-    as exact endpoints (this is what lets iterates land on vertices).
+    ``point`` maps t to weights and broadcasts over a column of ts.  F is
+    analytic but not guaranteed unimodal along segments, so a dense
+    presample, evaluated in one ``f_values`` call, picks the bracket first.
+    Exact endpoint values are compared against the refined interior
+    candidate, so boundary minima are returned as exact endpoints (this is
+    what lets iterates land on vertices).
     """
     ts = np.linspace(lo, hi, presamples)
-    vals = np.array([fun(t) for t in ts])
+    vals = poly.f_values(point(ts[:, None]))
+
+    def fun(t):
+        return poly.f_value(point(t))
+
     k = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
     best_t, best_v = float(ts[k]), float(vals[k])
     a = float(ts[max(k - 1, 0)])
@@ -230,9 +272,9 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
         e_s[s] = 1.0
 
         def toward(t, w=w, e_s=e_s):
-            return poly.f_value((1.0 - t) * w + t * e_s)
+            return (1.0 - t) * w + t * e_s
 
-        t1, f1 = _line_search(toward, 0.0, 1.0)
+        t1, f1 = _line_search(poly, toward, 0.0, 1.0)
         cand = [((1.0 - t1) * w + t1 * e_s, f1)]
 
         support = np.nonzero(w > WEIGHT_FLOOR)[0]
@@ -244,10 +286,10 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
                 e_a[a] = 1.0
 
                 def pairwise(t, w=w, e_s=e_s, e_a=e_a):
-                    return poly.f_value(np.maximum(w + t * (e_s - e_a), 0.0))
+                    return np.maximum(w + t * (e_s - e_a), 0.0)
 
-                t2, f2 = _line_search(pairwise, 0.0, shift)
-                w2 = np.maximum(w + t2 * (e_s - e_a), 0.0)
+                t2, f2 = _line_search(poly, pairwise, 0.0, shift)
+                w2 = pairwise(t2)
                 cand.append((w2 / w2.sum(), f2))
 
         w_new, f_new = min(cand, key=lambda c: c[1])
@@ -289,7 +331,8 @@ def _snap(poly: CyclePolytope, w: np.ndarray, f: float, hvals: np.ndarray) -> tu
 
 def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
                          grid_resolution: int,
-                         max_count: int = 100_000) -> OptimizeReport:
+                         max_count: int = 100_000,
+                         polytope: CyclePolytope | None = None) -> OptimizeReport:
     """Grid scan of the weight simplex; oracle for the conditional-gradient path.
 
     Enumerates all compositions of ``grid_resolution`` over the cycles
@@ -297,7 +340,7 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
     """
     if grid_resolution < 10:
         raise ValueError("grid_resolution must be at least 10")
-    poly = CyclePolytope(g, pi, max_count)
+    poly = polytope if polytope is not None else CyclePolytope(g, pi, max_count)
     m = poly.m
     if m > 6:
         raise TooManyCycles(f"{m} cycles; grid search supports at most 6")
@@ -406,19 +449,19 @@ def f_wedge(g: DirectedGraph, pi: ProbabilityVector, tol: float = 1e-8,
     ``brute_resolution`` is the upper bound actually used for few cycles.
     """
     poly = CyclePolytope(g, pi, max_count)
-    report = frank_wolfe_minimize(g, pi, tol=tol, max_iters=max_iters, seed=seed,
-                                  extra_starts=extra_starts, polytope=poly)
+    return _wedge(poly, tol, max_iters, seed, extra_starts, brute_resolution)[0]
+
+
+def _wedge(poly: CyclePolytope, tol: float = 1e-8, max_iters: int = 10_000,
+           seed: int = 0, extra_starts: int = 8, brute_resolution: int = 60) -> tuple:
+    """(best F, conditional-gradient report) behind :func:`f_wedge`."""
+    report = frank_wolfe_minimize(poly.graph, poly.pi, tol=tol, max_iters=max_iters,
+                                  seed=seed, extra_starts=extra_starts, polytope=poly)
     best = report.f_min
     if poly.m <= 6:
         res = brute_resolution
-        while res > 10 and _composition_count(res, poly.m) > 20_000:
+        while res > 10 and comb(res + poly.m - 1, poly.m - 1) > 20_000:
             res -= 1
-        brute = brute_force_minimize(g, pi, res, max_count=max_count)
+        brute = brute_force_minimize(poly.graph, poly.pi, res, polytope=poly)
         best = min(best, brute.f_min)
-    return float(best)
-
-
-def _composition_count(resolution: int, m: int) -> int:
-    from math import comb
-
-    return comb(resolution + m - 1, m - 1)
+    return float(best), report

@@ -114,6 +114,31 @@ def f_reference(rates: np.ndarray, pi: ProbabilityVector) -> float:
     return float(pi.weights @ E @ pi.weights)
 
 
+def closure_oracle(rates: np.ndarray) -> bool:
+    """Strong connectivity of the positive off-diagonal support by boolean
+    transitive closure, computed afresh on every call."""
+    reach = rates > 0
+    np.fill_diagonal(reach, True)
+    for _ in range((rates.shape[0] - 1).bit_length()):
+        reach = reach @ reach
+    return bool(reach.all())
+
+
+def f_value_oracle(poly, w: np.ndarray) -> float:
+    """F of a cycle mixture by the plain per-point route, which
+    ``CyclePolytope.f_value`` must reproduce bit for bit: rates by
+    ``tensordot`` over freshly built cycle generators, the closure above,
+    ``tile(pi) - rates`` inverted, and ``pi E pi``."""
+    p = poly.pi.weights
+    mats = np.stack([cycle_generator(poly.pi, c).rates for c in poly.cycles])
+    rates = np.tensordot(w, mats, axes=1)
+    if not closure_oracle(rates):
+        return np.inf
+    Z = np.linalg.inv(np.tile(p, (len(p), 1)) - rates)
+    E = (np.diag(Z)[None, :] - Z) / p[None, :]
+    return float(p @ E @ p)
+
+
 def random_ham_digraph(n: int, stream: RandomStream, extra: float = 0.25) -> DirectedGraph:
     """Random permutation cycle plus Bernoulli(extra) arcs."""
     perm = stream.shuffled(list(range(n)))

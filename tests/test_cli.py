@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -79,6 +80,32 @@ def test_optimize_determinism(tmp_path, pi3_file, capsys):
     _, out1, _ = run_cli(["optimize", "--graph", gpath, "--pi", pi3_file, "--seed", "5"], capsys)
     _, out2, _ = run_cli(["optimize", "--graph", gpath, "--pi", pi3_file, "--seed", "5"], capsys)
     assert out1 == out2
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("graph, pi, seed, golden", [
+    (segment_graph(2), [1 / 3, 1 / 3, 1 / 3], "3", "optimize_s2_uniform_seed3.json"),
+    (complete_graph(4), [0.1, 0.2, 0.3, 0.4], "0", "optimize_k4_pi1234_seed0.json"),
+])
+def test_optimize_output_is_pinned(tmp_path, capsys, graph, pi, seed, golden):
+    """The optimizer's evaluation shortcuts (one rates product per point,
+    memoized irreducibility, stacked presample inverses) change no bit of
+    its path: the report is byte for byte the one of the plain per-point
+    route it replaced.
+
+    The golden bytes hold the last bits of LAPACK results, so they belong to
+    one numpy/OpenBLAS build: after a change of that build, recapture them
+    from the commit before the optimizer change rather than from this code.
+    The K4 instance converges with a gap of 0; the S2 one with 8.1e-9
+    against tol 1e-8, so it also guards the optimizer's stall (a path that
+    moves in the last bits may no longer converge there)."""
+    gpath = write(tmp_path, "g.json", graph.to_json())
+    ppath = write(tmp_path, "pi.json", pi)
+    code, out, _ = run_cli(["optimize", "--graph", gpath, "--pi", ppath, "--seed", seed], capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_dp_command(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fastchain.generator import (
@@ -9,14 +11,17 @@ from fastchain.generator import (
     NotIrreducible,
     ProbabilityVector,
     ZeroGenerator,
+    _require_irreducible,
+    _support_strongly_connected,
     combine,
     cycle_generator,
     decompose_into_cycles,
     invariant_measure,
     is_compatible,
     normalize,
+    support_graph,
 )
-from fastchain.graph import Cycle, DirectedGraph, complete_graph, segment_graph
+from fastchain.graph import Cycle, DirectedGraph, complete_graph, is_strongly_connected, segment_graph
 from fastchain.rng import RandomStream
 
 from conftest import random_member, random_pi
@@ -86,6 +91,26 @@ def test_invariant_measure_inverts_construction():
 def test_invariant_measure_requires_irreducible():
     with pytest.raises(NotIrreducible):
         invariant_measure(Generator([[-1.0, 1, 0], [1, -1, 0], [0, 0, 0]]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(1, 40), st.floats(0.0, 0.3), st.integers(0, 2 ** 32 - 1))
+def test_irreducibility_agrees_with_graph_search(n, density, seed):
+    """The one strong-connectivity test on rate matrices (a clamped float
+    closure) agrees with depth-first search on the support graph, on random
+    supports around the connectivity threshold."""
+    u = RandomStream(seed).uniform(n * n).reshape(n, n)
+    rates = np.where(u < density / 2 + 1.0 / max(n, 2), u, 0.0)
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=1))
+    L = Generator(rates)
+    expect = is_strongly_connected(support_graph(L))
+    assert _support_strongly_connected(L.rates) == expect
+    if expect:
+        _require_irreducible(L)
+    else:
+        with pytest.raises(NotIrreducible):
+            _require_irreducible(L)
 
 
 def test_normalize(random_walk3, pi3):

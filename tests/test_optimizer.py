@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fastchain.eigentime import inverse_speed
-from fastchain.generator import ProbabilityVector, cycle_generator
-from fastchain.graph import Cycle, DirectedGraph, complete_graph
+from fastchain.generator import ProbabilityVector, _support_strongly_connected, cycle_generator
+from fastchain.graph import Cycle, DirectedGraph, complete_graph, segment_graph
 from fastchain.optimizer import (
     CyclePolytope,
     TooManyCycles,
-    _support_strongly_connected,
     brute_force_minimize,
     epsilon_neighborhood,
     f_wedge,
@@ -16,6 +17,8 @@ from fastchain.optimizer import (
     stationarity_check,
 )
 from fastchain.rng import RandomStream
+
+from conftest import closure_oracle, f_value_oracle, random_pi
 
 
 def test_k3_uniform_minimizer_is_hamiltonian(pi3):
@@ -144,7 +147,7 @@ def test_polytope_fast_path_matches_anchored_solves(pi3):
     from fastchain.generator import Generator
     from fastchain.optimizer import CyclePolytope
 
-    from conftest import f_reference, random_pi
+    from conftest import f_reference
 
     stream = RandomStream(402)
     poly = CyclePolytope(complete_graph(4), random_pi(stream, 4))
@@ -195,3 +198,77 @@ def test_is_irreducible_small_supports():
         w[k] = 1.0
         assert poly.is_irreducible(w) == (len(c) == 4)
     assert poly.is_irreducible(np.full(poly.m, 1.0 / poly.m))
+
+
+POLYTOPE_GRAPHS = {"K3": complete_graph(3), "K4": complete_graph(4),
+                   "S2": segment_graph(2), "S3": segment_graph(3)}
+SMALLEST_SUBNORMAL = 5e-324
+
+
+def _outcome(fn, *args):
+    """fn(*args), or "singular" where it raises LinAlgError: a subnormal
+    weight can make a support irreducible while Pi - L is singular in
+    floating point, and then both routes must raise."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except np.linalg.LinAlgError:
+        return "singular"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(POLYTOPE_GRAPHS)), st.integers(0, 2 ** 32 - 1))
+def test_polytope_evaluations_are_bitwise_the_per_point_route(name, seed):
+    """f_value, f_values, rates and is_irreducible equal the plain per-point
+    route exactly (==, no tolerance, the same LinAlgError where it raises)
+    along line-search segments: toward a vertex (reducible unless
+    Hamiltonian) and pairwise, from points with zero weights and with a
+    subnormal weight whose terms may underflow."""
+    g = POLYTOPE_GRAPHS[name]
+    stream = RandomStream(seed)
+    poly = CyclePolytope(g, random_pi(stream.spawn(0), g.n, spread=0.9))
+    m = poly.m
+    mats = np.stack([cycle_generator(poly.pi, c).rates for c in poly.cycles])
+    u = stream.spawn(1).uniform(m + 4)
+    w = stream.spawn(2).simplex(m)
+    w[u[:m] < 0.4] = 0.0
+    if u[m] < 0.5:
+        w[int(u[m + 1] * m)] = SMALLEST_SUBNORMAL
+    s, a = int(u[m + 2] * m), int(u[m + 3] * m)
+    e_s, e_a = np.eye(m)[s], np.eye(m)[a]
+    ts = np.linspace(0.0, 1.0, 33)[:, None]
+    stacks = [(1.0 - ts) * w + ts * e_s,
+              np.maximum(w + (w[a] * ts) * (e_s - e_a), 0.0)]
+    for ws in stacks:
+        expect = [_outcome(f_value_oracle, poly, x) for x in ws]
+        stacked = _outcome(poly.f_values, ws)
+        assert stacked == "singular" if "singular" in expect else stacked.tolist() == expect
+        assert [_outcome(poly.f_value, x) for x in ws] == expect
+        for x in ws:
+            rates = np.tensordot(x, mats, axes=1)
+            assert np.array_equal(poly.rates(x), rates)
+            assert poly.is_irreducible(x) == closure_oracle(rates)
+
+
+@pytest.mark.parametrize("tiny_first", [False, True])
+def test_irreducibility_memo_follows_underflow(tiny_first):
+    """A positive weight whose term w * rate rounds to 0 on one arc removes
+    that arc from the support: with pi = (0.8, 0.1, 0.1) the 3-cycle's rate
+    out of vertex 0 is 1/2.4, and the smallest subnormal times it is 0, while
+    its other two arcs stay positive.  The same weight support with a normal
+    weight is irreducible; the verdicts must not leak into each other in
+    either order of evaluation."""
+    poly = CyclePolytope(complete_graph(3), ProbabilityVector([0.8, 0.1, 0.1]))
+    index = {c.vertices: k for k, c in enumerate(poly.cycles)}
+    normal = np.zeros(poly.m)
+    normal[[index[(1, 2)], index[(0, 1, 2)]]] = 0.5
+    tiny = normal.copy()
+    tiny[index[(0, 1, 2)]] = SMALLEST_SUBNORMAL
+    rates = poly.rates(tiny)
+    assert rates[0, 1] == 0.0 and rates[2, 0] > 0.0 and not closure_oracle(rates)
+    order = [tiny, normal] if tiny_first else [normal, tiny]
+    for w in order:
+        assert poly.is_irreducible(w) == (w is normal)
+        assert poly.f_value(w) == f_value_oracle(poly, w)
+    assert poly.f_values(np.stack(order)).tolist() == [f_value_oracle(poly, w) for w in order]
+    assert poly.f_value(tiny) == np.inf and np.isfinite(poly.f_value(normal))
