@@ -24,7 +24,7 @@ print("complete graph on 4 vertices:")
 print("  optimal cover cost from 0:", table.start_value(0), "= 4*3/2")
 print("  optimal trajectory:", extract_policy_path(table, 0))
 print("  cost when the start itself must be revisited:",
-      table.full_visit_value(0, k4.successors(0)), "= 4*5/2")
+      table.full_visit_value(0), "= 4*5/2")
 
 # The segment has no Hamiltonian cycle: starting from the middle vertex the
 # bound 3 is unreachable and the DP pays for a revisit.

@@ -108,7 +108,6 @@ from .graph import (
 )
 from .optimizer import (
     EpsilonNeighborhood,
-    NotConverged,
     OptimizeReport,
     StationarityReport,
     TooManyCycles,

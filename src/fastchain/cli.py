@@ -48,8 +48,15 @@ from .experiments import (
     theorem2_probe,
     triangle_leaf_graph,
 )
-from .generator import Generator, ProbabilityVector, invariant_measure
-from .graph import Cycle, CycleBudgetExceeded, DirectedGraph, complete_graph, segment_graph
+from .generator import Generator, ProbabilityVector, invariant_measure, support_graph
+from .graph import (
+    Cycle,
+    CycleBudgetExceeded,
+    DirectedGraph,
+    complete_graph,
+    enumerate_simple_cycles,
+    segment_graph,
+)
 from .optimizer import brute_force_minimize, f_wedge, frank_wolfe_minimize, stationarity_check
 
 
@@ -119,6 +126,8 @@ def _cmd_eval(args) -> int:
         "checks": {
             "hitting_vs_spectral": abs(kern.f - spec.sum_reciprocals(1)),
             "spectral_second": abs(kern.h_mean - spec.sum_reciprocals(2)),
+            # measures only the rounding of Z 1 = 1 in the one inverse;
+            # hitting_vs_spectral is the independent check of this constant
             "kemeny_spread": float(kern.kemeny.max() - kern.kemeny.min()),
         },
     }
@@ -137,9 +146,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cycles_below(L: Generator) -> list:
-    from .generator import support_graph
-    from .graph import enumerate_simple_cycles
-
     return enumerate_simple_cycles(support_graph(L))
 
 
@@ -160,27 +166,23 @@ def _cmd_optimize(args) -> int:
 
 def _cmd_dp(args) -> int:
     g = _load_graph(args.graph)
+    if not 0 <= args.start < g.n:
+        raise InputError(f"start {args.start} out of range")
     checks = {}
     if args.mode == "discrete":
-        table = discrete_value_function(g, start=args.start)
+        table = discrete_value_function(g)
+    elif args.budgets is None:
+        table = continuous_value_function(g, np.ones(g.n))
+        checks["continuous_matches_discrete_at_unit_budgets"] = abs(
+            table.start_value(args.start) - discrete_value_function(g).start_value(args.start))
     else:
-        budgets = (np.asarray(_load_json(args.budgets), dtype=float)
-                   if args.budgets else np.ones(g.n))
-        table = continuous_value_function(g, budgets, start=args.start)
-        unit = discrete_value_function(g, start=args.start)
-        if args.budgets is None:
-            checks["continuous_matches_discrete_at_unit_budgets"] = abs(
-                table.start_value(args.start) - unit.start_value(args.start))
+        table = continuous_value_function(g, np.asarray(_load_json(args.budgets), dtype=float))
     bound = g.n * (g.n - 1) / 2
     checks["value_minus_hamiltonian_bound"] = float(
         table.start_value(args.start) - bound)
     if args.full_set:
-        value = table.full_visit_value(args.start, g.successors(args.start))
-        options = list(g.successors(args.start))
-        if table.budgets is None:
-            options.append(args.start)
-        first = min(options,
-                    key=lambda j: (table.value(j, ((1 << g.n) - 1) ^ (1 << j)), j))
+        value = table.full_visit_value(args.start)
+        first = table.next_vertex(args.start, (1 << g.n) - 1)
         path = [args.start] + extract_policy_path(table, first)
     else:
         value = table.start_value(args.start)

@@ -33,6 +33,7 @@ from .generator import (
 )
 from .graph import DirectedGraph
 from .optimizer import CyclePolytope, _wedge
+from .rng import RandomStream
 
 __all__ = [
     "Kernel",
@@ -240,8 +241,6 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0,
 def _pattern_search(fun, m: int, seed: int = 0, rounds: int = 2,
                     warm_starts=()) -> tuple:
     """Deterministic multi-start pairwise-transfer descent on the simplex."""
-    from .rng import RandomStream
-
     stream = RandomStream(seed)
     starts = [np.asarray(w, dtype=float) for w in warm_starts]
     starts.append(np.full(m, 1.0 / m))

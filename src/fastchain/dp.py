@@ -12,6 +12,12 @@ where j runs over graph successors of i.  Moves to already-visited
 vertices stay on the same level |A|, so each level is itself a shortest
 path problem, solved here by Dijkstra (all step costs are positive).
 
+The table stores values only.  The policy is derived on demand by one
+successor rule (:meth:`ValueTable.next_vertex`): a move i -> j out of
+(i, A) costs step_cost(i, |A|) + V(j, A \\ {j}), with A \\ {j} = A when
+j is already visited; successors are tried in increasing id and the first
+one whose cost is below the best so far by more than 1e-12 wins.
+
 A trajectory achieves the lower bound sum_{k=1..N-1} k = N(N-1)/2 at unit
 budgets exactly when every step visits a fresh vertex, i.e. when it traces
 a Hamiltonian path; graphs with a Hamiltonian cycle achieve it from every
@@ -22,7 +28,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
@@ -52,16 +59,18 @@ class BudgetInvalid(ValueError):
 
 @dataclass(frozen=True)
 class ValueTable:
-    """Optimal cost-to-go V(i, A) and an argmin successor per state.
+    """Optimal cost-to-go V(i, A), with the successor lists and the step cost
+    it was solved with, so that any move can be scored on demand.
 
-    ``values[i, A]`` is only meaningful for valid states (bit i not in A);
-    ``policy[i, A]`` is -1 at A = 0 (nothing left to do).  ``budgets`` is
-    None for the discrete table and the per-vertex rate vector otherwise.
+    ``values[i, A]`` is only meaningful for valid states (bit i not in A).
+    ``budgets`` is None for the discrete table and the per-vertex rate
+    vector otherwise.
     """
 
     n: int
     values: np.ndarray
-    policy: np.ndarray
+    successors: list
+    step_cost: Callable
     budgets: np.ndarray | None = None
 
     def value(self, i: int, mask: int) -> float:
@@ -74,22 +83,31 @@ class ValueTable:
         full = (1 << self.n) - 1
         return self.value(start, full ^ (1 << start))
 
-    def full_visit_value(self, start: int, successors) -> float:
-        """Cost when ``start`` itself also remains to be (re)visited.
+    def _moves(self, i: int, mask: int) -> list:
+        """(cost, j) of every move out of vertex i with unvisited set
+        ``mask``, in increasing j.  When i itself is in ``mask`` (the
+        full-set query) the discrete chain may also stay put: the lazy
+        self-loop revisits i at once; a continuous chain has no
+        self-transition."""
+        targets = self.successors[i]
+        if self.budgets is None and (mask >> i) & 1:
+            targets = sorted([*targets, i])
+        step = self.step_cost(i, mask.bit_count())
+        return [(step + self.values[j, mask & ~(1 << j)], j) for j in targets]
 
-        The first move pays n per unit of its duration and goes to a graph
-        successor.  In discrete time the lazy self-loop is also available
-        (revisit ``start`` immediately); a continuous chain has no
-        self-transition, so there the first change must leave.
-        """
-        full = (1 << self.n) - 1
-        options = [self.value(j, full ^ (1 << j)) for j in successors]
-        if self.budgets is None:
-            options.append(self.value(start, full ^ (1 << start)))
-            first = float(self.n)
-        else:
-            first = self.n / float(self.budgets[start])
-        return first + min(options)
+    def next_vertex(self, i: int, mask: int) -> int:
+        """The successor rule: the first move in increasing id whose cost is
+        below the best so far by more than 1e-12."""
+        best, arg = np.inf, -1
+        for cost, j in self._moves(i, mask):
+            if cost < best - 1e-12:
+                best, arg = cost, j
+        return arg
+
+    def full_visit_value(self, start: int) -> float:
+        """Cost when ``start`` itself also remains to be (re)visited: the
+        first move pays n per unit of its duration."""
+        return float(min(cost for cost, _ in self._moves(start, (1 << self.n) - 1)))
 
     def mean_start_value(self) -> float:
         return float(np.mean([self.start_value(i) for i in range(self.n)]))
@@ -111,7 +129,6 @@ def _solve_table(g: DirectedGraph, step_cost, terminal=None) -> ValueTable:
     pred = g.predecessor_lists()
     size = 1 << n
     values = np.full((n, size), np.inf)
-    policy = np.full((n, size), -1, dtype=np.int32)
     values[:, 0] = 0.0 if terminal is None else terminal
 
     masks_by_popcount = [[] for _ in range(n + 1)]
@@ -150,34 +167,16 @@ def _solve_table(g: DirectedGraph, step_cost, terminal=None) -> ValueTable:
                     if cand < dist.get(i, np.inf):
                         dist[i] = cand
                         heapq.heappush(heap, (cand, i))
-            # deterministic argmin successor: smallest id among minimizers
-            for i in outside:
-                best, arg = np.inf, -1
-                for j in succ[i]:
-                    target = values[j, mask ^ (1 << j)] if (mask >> j) & 1 else values[j, mask]
-                    cand = step_cost(i, level) + target
-                    if cand < best - 1e-12:
-                        best, arg = cand, j
-                policy[i, mask] = arg
-    return ValueTable(n=n, values=values, policy=policy)
+    return ValueTable(n=n, values=values, successors=succ, step_cost=step_cost)
 
 
-def discrete_value_function(g: DirectedGraph, start: int = 0,
-                            target_set: int | None = None) -> ValueTable:
+def discrete_value_function(g: DirectedGraph) -> ValueTable:
     """Unit-cost-per-remaining-vertex covering DP; exact for n <= 20.
-
-    ``start`` and ``target_set`` only validate the intended query (the
-    table covers all states); the canonical query is
-    ``table.start_value(start)``.
-    """
-    table = _solve_table(g, lambda i, size: float(size))
-    _validate_query(g, start, target_set)
-    return table
+    The canonical query is ``table.start_value(start)``."""
+    return _solve_table(g, lambda i, size: float(size))
 
 
-def continuous_value_function(g: DirectedGraph, budgets,
-                              start: int = 0,
-                              target_set: int | None = None) -> ValueTable:
+def continuous_value_function(g: DirectedGraph, budgets) -> ValueTable:
     """Covering DP with exponential sojourns at per-vertex rate budgets.
 
     ``budgets`` must be positive and sum to n within 1e-9 (the equilibrium
@@ -190,38 +189,25 @@ def continuous_value_function(g: DirectedGraph, budgets,
         raise BudgetInvalid("budgets must be positive, one per vertex")
     if abs(a.sum() - g.n) > 1e-9:
         raise BudgetInvalid(f"budgets must sum to n={g.n}, got {a.sum()!r}")
-    table = _solve_table(g, lambda i, size: size / a[i])
-    _validate_query(g, start, target_set)
-    return ValueTable(n=table.n, values=table.values, policy=table.policy, budgets=a)
+    return replace(_solve_table(g, lambda i, size: size / a[i]), budgets=a)
 
 
-def _validate_query(g: DirectedGraph, start: int, target_set: int | None):
-    if not 0 <= start < g.n:
-        raise ValueError(f"start {start} out of range")
-    if target_set is not None:
-        if target_set >> g.n:
-            raise ValueError("target_set has bits beyond the vertex range")
-
-
-def extract_policy_path(table: ValueTable, start: int,
-                        initial_mask: int | None = None) -> list:
-    """Follow the stored argmin successors until the unvisited set empties.
+def extract_policy_path(table: ValueTable, start: int) -> list:
+    """Follow the successor rule from ``start`` until the unvisited set
+    empties.
 
     On graphs where the optimum equals the Hamiltonian-path bound the
     result visits every vertex exactly once.
     """
     n = table.n
-    mask = ((1 << n) - 1) ^ (1 << start) if initial_mask is None else initial_mask
+    mask = ((1 << n) - 1) ^ (1 << start)
     path = [start]
     current = start
     guard = 0
     while mask:
-        nxt = int(table.policy[current, mask])
-        if nxt < 0:
-            break
-        path.append(nxt)
-        mask &= ~(1 << nxt)
-        current = nxt
+        current = table.next_vertex(current, mask)
+        path.append(current)
+        mask &= ~(1 << current)
         guard += 1
         if guard > n * (1 << n):
             raise RuntimeError("policy walk did not terminate")

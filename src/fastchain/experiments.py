@@ -24,12 +24,13 @@ from math import sqrt
 
 import numpy as np
 
-from .eigentime import eigentime_spectral, hamiltonian_speed_value, inverse_speed
+from .eigentime import eigentime_spectral, hamiltonian_speed_value, inverse_speed, spectrum
 from .generator import (
     CycleDecomposition,
     Generator,
     ProbabilityVector,
     combine,
+    cycle_generator,
     invariant_measure,
 )
 from .graph import (
@@ -134,9 +135,7 @@ def spectrum_split(L_r: Generator, short_cycle: Cycle, r: float,
     remaining nonzero eigenvalues against the pure cycle spectrum
     1 - exp(2 pi i k / n).
     """
-    vals = np.linalg.eigvals(-L_r.rates)
-    order = np.argsort(np.abs(vals))
-    vals = list(vals[order][1:])
+    vals = spectrum(L_r).values
     scale = max(1.0, abs(r))
     near_r = [z for z in vals if abs(z - r) <= tol * scale]
     others = [z for z in vals if abs(z - r) > tol * scale]
@@ -375,7 +374,7 @@ def theorem2_probe(g: DirectedGraph, perturbation_size: float, trials: int,
         pi = sample_near_uniform(g.n, perturbation_size, stream.spawn(t))
         report = frank_wolfe_minimize(g, pi, tol=tol, seed=seed + t, extra_starts=2)
         dists = [float(np.abs(report.minimizer.rates
-                              - _cycle_rates(pi, h)).max()) for h in hams]
+                              - cycle_generator(pi, h).rates).max()) for h in hams]
         d = min(dists)
         worst = max(worst, d)
         if d <= 1e-8:
@@ -386,12 +385,6 @@ def theorem2_probe(g: DirectedGraph, perturbation_size: float, trials: int,
         success_fraction=successes / trials if trials else 0.0,
         worst_distance=worst,
     )
-
-
-def _cycle_rates(pi: ProbabilityVector, cycle: Cycle) -> np.ndarray:
-    from .generator import cycle_generator
-
-    return cycle_generator(pi, cycle).rates
 
 
 def triangle_leaf_graph() -> DirectedGraph:

@@ -37,7 +37,6 @@ __all__ = [
     "StationarityReport",
     "EpsilonNeighborhood",
     "TooManyCycles",
-    "NotConverged",
     "CyclePolytope",
     "frank_wolfe_minimize",
     "brute_force_minimize",
@@ -52,10 +51,6 @@ SNAP_TOL = 1e-9
 
 class TooManyCycles(RuntimeError):
     """Exhaustive grid search is infeasible for this many cycles."""
-
-
-class NotConverged(RuntimeError):
-    """Stationarity gap still above tolerance after the iteration budget."""
 
 
 @dataclass(frozen=True)

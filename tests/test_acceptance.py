@@ -166,7 +166,7 @@ def test_criterion_5_dp_optimality():
         table = discrete_value_function(g)
         start = int(stream.uniform(1)[0] * n)
         assert table.start_value(start) == n * (n - 1) / 2
-        assert table.full_visit_value(start, g.successors(start)) == n * (n + 1) / 2
+        assert table.full_visit_value(start) == n * (n + 1) / 2
         cont = continuous_value_function(g, np.ones(n))
         assert cont.start_value(start) == table.start_value(start)
 

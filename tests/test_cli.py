@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from fastchain.cli import main
-from fastchain.graph import complete_graph, segment_graph
+from fastchain.graph import complete_graph, hypercube_graph, segment_graph
 
 
 def run_cli(args, capsys):
@@ -121,6 +121,40 @@ def test_dp_command(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["value"] == 6.0
     assert doc["checks"]["continuous_matches_discrete_at_unit_budgets"] == 0.0
+
+
+@pytest.mark.parametrize("graph, args, golden", [
+    (complete_graph(4), [], "dp_k4_discrete.json"),
+    (complete_graph(4), ["--mode", "continuous"], "dp_k4_continuous.json"),
+    (complete_graph(4), ["--full-set"], "dp_k4_discrete_full_set.json"),
+    (complete_graph(4), ["--mode", "continuous", "--full-set"], "dp_k4_continuous_full_set.json"),
+    (segment_graph(2), ["--start", "1"], "dp_s2_start1.json"),
+    (hypercube_graph(3), [], "dp_q3_discrete.json"),
+    (None, ["--mode", "continuous"], "dp_ham9_budgets.json"),
+])
+def test_dp_output_is_pinned(tmp_path, capsys, graph, args, golden):
+    """``dp`` reports, paths included, are pinned byte for byte: the policy
+    derived on demand from the values takes every move the stored argmin
+    table took.  The last case is a random Hamiltonian digraph on 9
+    vertices with random budgets (input in dp_ham9_input.json), whose
+    optimal walk revisits a vertex."""
+    if graph is None:
+        inputs = json.loads((GOLDEN / "dp_ham9_input.json").read_text())
+        gpath = write(tmp_path, "g.json", inputs["graph"])
+        args = args + ["--budgets", write(tmp_path, "b.json", inputs["budgets"])]
+    else:
+        gpath = write(tmp_path, "g.json", graph.to_json())
+    code, out, _ = run_cli(["dp", "--graph", gpath, *args], capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("start", ["-1", "99"])
+def test_dp_start_out_of_range(tmp_path, capsys, start):
+    gpath = write(tmp_path, "k4.json", complete_graph(4).to_json())
+    code, out, err = run_cli(["dp", "--graph", gpath, "--start", start], capsys)
+    assert code == 2 and out == ""
+    assert f"start {start}" in err
 
 
 def test_discrete_kernel_command(tmp_path, pi3_file, capsys):

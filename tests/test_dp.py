@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fastchain.dp import (
@@ -43,14 +45,14 @@ def test_segment_values():
     table = discrete_value_function(segment_graph(2))
     assert table.start_value(0) == 3.0   # 0 -> 1 -> 2 is a covering path
     assert table.start_value(1) == 4.0   # no covering path from the middle
-    assert table.full_visit_value(0, segment_graph(2).successors(0)) == 6.0
+    assert table.full_visit_value(0) == 6.0
 
 
 def test_full_set_variant_hamiltonian():
     g = complete_graph(4)
     table = discrete_value_function(g)
     assert table.start_value(0) == 6.0
-    assert table.full_visit_value(0, g.successors(0)) == 10.0
+    assert table.full_visit_value(0) == 10.0
 
 
 def test_hypercube_dp_value_and_path():
@@ -178,3 +180,52 @@ def test_non_hamiltonian_strictly_above_bound():
         for i in range(n):
             attains = table.start_value(i) == n * (n - 1) / 2
             assert attains == has_hamiltonian_path_from(g, i)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.floats(0.0, 0.5), st.booleans(), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_policy_path_cost_equals_start_value(n, density, hamiltonian, continuous, seed):
+    """The walk of the successor rule is optimal: summing |A|/a_i along it,
+    from the full unvisited set down to the empty one, gives the table's
+    value, on graphs with and without a Hamiltonian cycle."""
+    stream = RandomStream(seed)
+    if hamiltonian:
+        g = random_ham_digraph(n, stream.spawn(0), extra=density)
+    else:
+        # a random tree with arcs both ways, plus sparse extra arcs: strongly
+        # connected, and mostly without a Hamiltonian cycle, so walks revisit
+        parent = [int(stream.spawn(2 + v).integers(1, v)[0]) for v in range(1, n)]
+        u = stream.spawn(0).uniform(n * n)
+        g = DirectedGraph(n, [(v, p) for v, p in enumerate(parent, 1)]
+                          + [(p, v) for v, p in enumerate(parent, 1)]
+                          + [(i, j) for i in range(n) for j in range(n)
+                             if i != j and u[i * n + j] < density / 4])
+    if continuous:
+        a = 0.3 + stream.spawn(1).uniform(n)
+        a *= n / a.sum()
+        table = continuous_value_function(g, a)
+    else:
+        a = np.ones(n)
+        table = discrete_value_function(g)
+    for start in range(n):
+        path = extract_policy_path(table, start)
+        cost = _walk_cost(g, a, path, set(range(n)) - {start}, lazy=False)
+        assert abs(cost - table.start_value(start)) <= 1e-9 * table.start_value(start)
+        # the full-set query: start itself is unvisited, and the discrete
+        # chain may take the lazy self-loop first
+        walk = [start] + extract_policy_path(table, table.next_vertex(start, (1 << n) - 1))
+        cost = _walk_cost(g, a, walk, set(range(n)), lazy=not continuous)
+        assert abs(cost - table.full_visit_value(start)) <= 1e-9 * table.full_visit_value(start)
+
+
+def _walk_cost(g, a, path, unvisited, lazy):
+    """Sum of |A|/a_i over the moves of ``path``; every move is an arc, or
+    with ``lazy`` a self-loop, and the walk ends with nothing unvisited."""
+    cost = 0.0
+    for i, j in zip(path, path[1:]):
+        assert g.has_edge(i, j) or (lazy and i == j)
+        cost += len(unvisited) / a[i]
+        unvisited.discard(j)
+    assert not unvisited
+    return cost
