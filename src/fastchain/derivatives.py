@@ -86,8 +86,9 @@ def psi_solve(L: Generator, pi: ProbabilityVector, cycle: Cycle, y: int,
         psi_y(x) = (1/n) sum_l (phi_y(a_{l+1}) - phi_y(a_l))
                                (phi_{a_l}(x) - phi_{a_l}(y)),
 
-    and an :class:`IdentityViolation` is raised beyond 1e-8 disagreement.
-    The fundamental-matrix value is returned.
+    and an :class:`IdentityViolation` is raised when they disagree by more
+    than the rounding allowance of a quantity of order M(L)^2 (see
+    :func:`_rounding_tol`).  The fundamental-matrix value is returned.
     """
     kern = hitting_kernel(L, pi)
     g = kern.Z @ (cycle_generator(pi, cycle).rates @ kern.E[:, y])
@@ -95,9 +96,23 @@ def psi_solve(L: Generator, pi: ProbabilityVector, cycle: Cycle, y: int,
     if check:
         closed = _psi_closed_form(kern.E, cycle, y)
         err = float(np.abs(psi - closed).max())
-        if err > 1e-8:
+        if err > _rounding_tol(kern, 2):
             raise IdentityViolation(f"psi closed-form disagreement {err!r}")
     return psi
+
+
+def _rounding_tol(kern: HittingKernel, power: int) -> float:
+    """Allowed disagreement between two routes to a quantity of order
+    M(L)^power: 1e3 n eps M(L)^power.
+
+    Hitting times are of order M(L), psi (a sum of products of hitting-time
+    differences) of order M(L)^2 and the chained term of order M(L)^3, and
+    their rounding scales with them: the measured gaps stay below
+    0.4 n eps M^2 for psi and 3 n eps M^3 for the chained term on chains
+    with M(L) up to 1e7, and reach 280 n eps M^3 at M(L) = 2e8.  A relative
+    disagreement above about 1e-12 n still raises.
+    """
+    return 1e3 * kern.E.shape[0] * np.finfo(float).eps * kern.m_bound ** power
 
 
 def _psi_closed_form(E: np.ndarray, cycle: Cycle, y: int) -> np.ndarray:
@@ -180,7 +195,7 @@ def _second_directional(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle,
     cross_ab = _mean_psi_cross(kern, rates_b, rates_a)
     if check:
         assembled = _h_cross(kern, cycle_a, cycle_b)
-        if abs(assembled - cross_ba) > 1e-8:
+        if abs(assembled - cross_ba) > _rounding_tol(kern, 3):
             raise IdentityViolation(
                 f"chained term mismatch: assembled {assembled!r} vs solved {cross_ba!r}")
     return (2.0 * kern.f - 2.0 * kern.h_cycle(cycle_a) - 2.0 * kern.h_cycle(cycle_b)
@@ -201,7 +216,8 @@ def second_directional(L: Generator, pi: ProbabilityVector, cycle_a: Cycle,
     The chained terms come from -sum_y pi(y) (Z L_B Z L_A E)[y, y], which
     keeps its accuracy where the arc-sum assembly of :func:`h_cross`
     cancels large entries of h; with ``check`` on, the assembly is
-    compared against it at 1e-8.
+    compared against it within the rounding allowance of a quantity of
+    order M(L)^3 (see :func:`_rounding_tol`).
     """
     return _second_directional(hitting_kernel(L, pi), cycle_a,
                                cycle_a if cycle_b is None else cycle_b, check)

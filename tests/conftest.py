@@ -6,8 +6,13 @@ mixtures, which spans the full feasible set (mixtures of the extreme
 points) and guarantees pi-invariance by construction.
 
 The anchored oracles solve one reduced linear system per column, a route
-independent of the fundamental-matrix kernel the package uses.
+independent of the fundamental-matrix kernel the package uses.  The
+covering-DP oracle fills the (vertex, unvisited-set) table mask by mask
+with a heap-based Dijkstra per popcount level, a route independent of the
+package's level-vectorized relaxations.
 """
+
+import heapq
 
 import numpy as np
 import pytest
@@ -152,3 +157,49 @@ def random_ham_digraph(n: int, stream: RandomStream, extra: float = 0.25) -> Dir
                     edges.add((i, j))
                 k += 1
     return DirectedGraph(n, edges)
+
+
+def dijkstra_table_oracle(g: DirectedGraph, step_cost, terminal=None) -> np.ndarray:
+    """Covering-DP values V(i, A) by level-by-level Dijkstra over subsets in
+    increasing popcount order, one mask at a time: fresh moves seed the
+    distances, moves to visited vertices keep the mask and are settled by a
+    heap.  ``dp._solve_table`` must reproduce the array bit for bit."""
+    n = g.n
+    succ = g.successor_lists()
+    pred = g.predecessor_lists()
+    size = 1 << n
+    values = np.full((n, size), np.inf)
+    values[:, 0] = 0.0 if terminal is None else terminal
+    masks_by_popcount = [[] for _ in range(n + 1)]
+    for mask in range(1, size):
+        masks_by_popcount[mask.bit_count()].append(mask)
+    for level in range(1, n + 1):
+        for mask in masks_by_popcount[level]:
+            outside = [i for i in range(n) if not (mask >> i) & 1]
+            dist = {}
+            for i in outside:
+                best = np.inf
+                for j in succ[i]:
+                    if (mask >> j) & 1:
+                        cand = step_cost(i, level) + values[j, mask ^ (1 << j)]
+                        if cand < best:
+                            best = cand
+                if np.isfinite(best):
+                    dist[i] = best
+            heap = [(v, i) for i, v in dist.items()]
+            heapq.heapify(heap)
+            done = set()
+            while heap:
+                v, j = heapq.heappop(heap)
+                if j in done:
+                    continue
+                done.add(j)
+                values[j, mask] = v
+                for i in pred[j]:
+                    if (mask >> i) & 1 or i in done:
+                        continue
+                    cand = step_cost(i, level) + v
+                    if cand < dist.get(i, np.inf):
+                        dist[i] = cand
+                        heapq.heappush(heap, (cand, i))
+    return values

@@ -149,6 +149,23 @@ def test_dp_output_is_pinned(tmp_path, capsys, graph, args, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize("args, value, path", [
+    (["--mode", "discrete"], 0.0, [0]),
+    (["--mode", "continuous"], 0.0, [0]),
+    (["--mode", "discrete", "--full-set"], 1.0, [0, 0]),
+])
+def test_dp_single_vertex(tmp_path, capsys, args, value, path):
+    """One vertex and no arcs: nothing is left to cover, so the walk stays
+    put at cost 0; the discrete full-set query takes the lazy self-loop
+    once, at cost |A| = 1."""
+    gpath = write(tmp_path, "g1.json", {"n": 1, "edges": []})
+    code, out, _ = run_cli(["dp", "--graph", gpath, *args], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["value"], doc["path"]) == (value, path)
+    assert doc["checks"]["value_minus_hamiltonian_bound"] == 0.0
+
+
 @pytest.mark.parametrize("start", ["-1", "99"])
 def test_dp_start_out_of_range(tmp_path, capsys, start):
     gpath = write(tmp_path, "k4.json", complete_graph(4).to_json())

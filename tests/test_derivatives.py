@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fastchain.derivatives as derivatives
 from fastchain.derivatives import (
     DirectionInvalid,
     _mean_psi_cross,
@@ -12,7 +13,7 @@ from fastchain.derivatives import (
     psi_solve,
     second_directional,
 )
-from fastchain.eigentime import hitting_kernel, inverse_speed
+from fastchain.eigentime import IdentityViolation, hitting_kernel, inverse_speed
 from fastchain.generator import (
     Generator,
     ProbabilityVector,
@@ -227,3 +228,46 @@ def test_chained_term_direct_route_matches_double_solve_oracle():
         got = _mean_psi_cross(hitting_kernel(L, pi), ra, rb)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
         assert abs(h_cross(L, pi, ca, cb) - want) <= 1e-8 * max(1.0, abs(want))
+
+
+def stiff_path(n, weight):
+    """Bidirected path on n vertices, uniform pi, the middle 2-cycle at
+    relative weight ``weight``: a slow bottleneck with F of order 1/weight."""
+    pi = ProbabilityVector.uniform(n)
+    cycles = [Cycle([i, i + 1]) for i in range(n - 1)]
+    w = np.ones(n - 1)
+    w[(n - 1) // 2] = weight
+    w /= w.sum()
+    L = Generator(sum(wi * cycle_generator(pi, c).rates for wi, c in zip(w, cycles)))
+    return L, pi, cycles
+
+
+@pytest.mark.parametrize("n, weight", [(10, 1e-4), (20, 1e-5)])
+def test_cross_checks_pass_on_stiff_chains(n, weight):
+    """The two routes to psi and to the chained term differ only by rounding
+    on a slow bottleneck (F = 4.0e4 at n = 10), so neither check raises."""
+    L, pi, cycles = stiff_path(n, weight)
+    assert inverse_speed(L, pi) > 1e4
+    for c in cycles:
+        for y in range(n):
+            psi_solve(L, pi, c, y)
+        for d in cycles:
+            second_directional(L, pi, c, d)
+
+
+@pytest.mark.parametrize("rel", [1e-6, 1e-8])
+def test_cross_checks_catch_relative_error_on_stiff_chain(monkeypatch, rel):
+    """A small relative error planted in the closed-form route of either
+    check still raises on the stiff chain, where the allowance is widest."""
+    L, pi, cycles = stiff_path(10, 1e-4)
+    middle = cycles[4]
+    psi_closed, h_assembled = derivatives._psi_closed_form, derivatives._h_cross
+    monkeypatch.setattr(derivatives, "_psi_closed_form",
+                        lambda *args: psi_closed(*args) * (1 + rel))
+    with pytest.raises(IdentityViolation):
+        psi_solve(L, pi, middle, 0)
+    monkeypatch.setattr(derivatives, "_psi_closed_form", psi_closed)
+    monkeypatch.setattr(derivatives, "_h_cross",
+                        lambda *args: h_assembled(*args) * (1 + rel))
+    with pytest.raises(IdentityViolation):
+        second_directional(L, pi, middle)

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from fastchain.dp import (
     BudgetInvalid,
     StateSpaceTooLarge,
+    _solve_table,
     continuous_value_function,
     discrete_value_function,
     extract_policy_path,
@@ -22,7 +23,7 @@ from fastchain.graph import (
 )
 from fastchain.rng import RandomStream
 
-from conftest import random_ham_digraph
+from conftest import dijkstra_table_oracle, random_ham_digraph
 
 
 def triangle():
@@ -182,6 +183,45 @@ def test_non_hamiltonian_strictly_above_bound():
             assert attains == has_hamiltonian_path_from(g, i)
 
 
+def _covering_graph(n, density, hamiltonian, stream):
+    """A random Hamiltonian digraph, or a random tree with arcs both ways
+    plus sparse extra arcs: strongly connected, and mostly without a
+    Hamiltonian cycle, so walks revisit."""
+    if hamiltonian and n > 1:
+        return random_ham_digraph(n, stream.spawn(0), extra=density)
+    parent = [int(stream.spawn(2 + v).integers(1, v)[0]) for v in range(1, n)]
+    u = stream.spawn(0).uniform(n * n)
+    return DirectedGraph(n, [(v, p) for v, p in enumerate(parent, 1)]
+                         + [(p, v) for v, p in enumerate(parent, 1)]
+                         + [(i, j) for i in range(n) for j in range(n)
+                            if i != j and u[i * n + j] < density / 4])
+
+
+def _random_budgets(n, stream):
+    a = 0.3 + stream.spawn(1).uniform(n)
+    return a * (n / a.sum())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 10), st.floats(0.0, 0.5), st.booleans(),
+       st.sampled_from(["discrete", "continuous", "time"]), st.integers(0, 2 ** 32 - 1))
+def test_level_fill_matches_dijkstra_bitwise(n, density, hamiltonian, cost, seed):
+    """The level-vectorized fill reproduces the per-mask Dijkstra table bit
+    for bit, revisits included: unit step costs, |A|/a_i at random budgets,
+    and the 1/a_i costs with a terminal charge that the budget search uses."""
+    stream = RandomStream(seed)
+    g = _covering_graph(n, density, hamiltonian, stream)
+    a = _random_budgets(n, stream)
+    if cost == "discrete":
+        table, step, terminal = discrete_value_function(g), lambda i, size: float(size), None
+    elif cost == "continuous":
+        table, step, terminal = continuous_value_function(g, a), lambda i, size: size / a[i], None
+    else:
+        step, terminal = lambda i, size: 1.0 / a[i], 1.0 / a
+        table = _solve_table(g, step, terminal=terminal)
+    assert np.array_equal(table.values, dijkstra_table_oracle(g, step, terminal))
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.integers(2, 8), st.floats(0.0, 0.5), st.booleans(), st.booleans(),
        st.integers(0, 2 ** 32 - 1))
@@ -190,20 +230,9 @@ def test_policy_path_cost_equals_start_value(n, density, hamiltonian, continuous
     from the full unvisited set down to the empty one, gives the table's
     value, on graphs with and without a Hamiltonian cycle."""
     stream = RandomStream(seed)
-    if hamiltonian:
-        g = random_ham_digraph(n, stream.spawn(0), extra=density)
-    else:
-        # a random tree with arcs both ways, plus sparse extra arcs: strongly
-        # connected, and mostly without a Hamiltonian cycle, so walks revisit
-        parent = [int(stream.spawn(2 + v).integers(1, v)[0]) for v in range(1, n)]
-        u = stream.spawn(0).uniform(n * n)
-        g = DirectedGraph(n, [(v, p) for v, p in enumerate(parent, 1)]
-                          + [(p, v) for v, p in enumerate(parent, 1)]
-                          + [(i, j) for i in range(n) for j in range(n)
-                             if i != j and u[i * n + j] < density / 4])
+    g = _covering_graph(n, density, hamiltonian, stream)
     if continuous:
-        a = 0.3 + stream.spawn(1).uniform(n)
-        a *= n / a.sum()
+        a = _random_budgets(n, stream)
         table = continuous_value_function(g, a)
     else:
         a = np.ones(n)
