@@ -15,10 +15,9 @@ from fastchain import (
     ProbabilityVector,
     cycle_generator,
     eigentime_spectral,
-    expected_hitting_times,
+    hitting_kernel,
     hitting_report,
     inverse_speed,
-    kemeny_times,
     simulate_hitting,
     spectral_second_identity,
     spectrum,
@@ -30,7 +29,7 @@ tour = cycle_generator(pi, Cycle([0, 1, 2]))
 print("rates of the cyclic tour:\n", tour.rates)
 
 # Hitting times are just the forward distances along the cycle.
-print("\nE_x[tau_y]:\n", expected_hitting_times(tour, pi))
+print("\nE_x[tau_y]:\n", hitting_kernel(tour, pi).E)
 print("F =", inverse_speed(tour, pi), " (= (N-1)/2 for a Hamiltonian tour)")
 
 # The same number from the other side of the eigentime identity:
@@ -43,7 +42,7 @@ walk = Generator(0.5 * np.array([[-2.0, 1, 1], [1, -2, 1], [1, 1, -2]]))
 print("\nsymmetric walk F =", inverse_speed(walk, pi), " (= 4/3 > 1)")
 
 # The Kemeny vector (pi-average over targets) is constant in the start:
-print("Kemeny times:", kemeny_times(walk, pi))
+print("Kemeny times:", hitting_kernel(walk, pi).kemeny)
 
 # Second moments and the perturbation kernel come from one more chained
 # Poisson solve; the full bundle with a second spectral identity:

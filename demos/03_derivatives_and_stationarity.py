@@ -15,10 +15,8 @@ from fastchain import (
     cycle_generator,
     directional_derivative,
     enumerate_simple_cycles,
-    expected_hitting_times,
-    h_cycle,
+    hitting_kernel,
     inverse_speed,
-    m_bound,
     second_directional,
     stationarity_check,
 )
@@ -26,8 +24,7 @@ from fastchain.graph import complete_graph
 
 
 def f_of(rates, pi):
-    E_cols = expected_hitting_times(Generator(rates), pi)
-    return float(pi.weights @ E_cols @ pi.weights)
+    return hitting_kernel(Generator(rates), pi).f
 
 
 pi = ProbabilityVector.uniform(4)
@@ -39,7 +36,7 @@ print("F at the Hamiltonian tour:", f)
 # at least (N-1)/(2N):
 for cyc in (Cycle([0, 1]), Cycle([0, 2]), Cycle([1, 3, 2])):
     d = directional_derivative(L, pi, cyc)
-    print(f"D toward {cyc.vertices}: {d:+.4f} (H = {h_cycle(L, pi, cyc):.4f})")
+    print(f"D toward {cyc.vertices}: {d:+.4f} (H = {hitting_kernel(L, pi).h_cycle(cyc):.4f})")
 print("guaranteed margin (N-1)/(2N) =", 3 / 8)
 
 # Compare the exact derivative with a central difference along a mixture.
@@ -61,7 +58,7 @@ print("exact  D2 =", d2)
 print("second FD =", fd2)
 
 # All derivative sizes are controlled by the largest hitting time.
-print("\nM(L) =", m_bound(Lmix, pi), ">= F =", f_of(mix, pi))
+print("\nM(L) =", hitting_kernel(Lmix, pi).m_bound, ">= F =", f_of(mix, pi))
 
 # First-order conditions at a minimizer: every cycle below L has H = F and
 # no cycle exceeds it.  The Hamiltonian tour is stationary; the mixture not.

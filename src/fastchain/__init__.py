@@ -17,9 +17,6 @@ from .derivatives import (
     derivative_report,
     directional_derivative,
     h_cross,
-    h_cycle,
-    h_direction,
-    m_bound,
     psi_solve,
     second_directional,
 )
@@ -48,20 +45,14 @@ from .eigentime import (
     HittingKernel,
     HittingReport,
     IdentityViolation,
-    NotCentered,
     Spectrum,
     SpectrumAmbiguous,
     eigentime_spectral,
-    expected_hitting_times,
-    h_matrix,
     hamiltonian_speed_value,
     hitting_kernel,
     hitting_report,
     inverse_speed,
-    kemeny_times,
-    poisson_solve,
     return_time_identities,
-    second_moment_hitting,
     simulate_hitting,
     spectral_second_identity,
     spectrum,
@@ -98,7 +89,6 @@ from .graph import (
     CycleBudgetExceeded,
     DirectedGraph,
     complete_graph,
-    cyclic_distance,
     enumerate_hamiltonian_cycles,
     enumerate_simple_cycles,
     gray_code_cycle,

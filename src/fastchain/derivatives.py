@@ -42,12 +42,9 @@ __all__ = [
     "DirectionInvalid",
     "DerivativeReport",
     "psi_solve",
-    "h_cycle",
-    "h_direction",
     "h_cross",
     "directional_derivative",
     "second_directional",
-    "m_bound",
     "derivative_report",
 ]
 
@@ -75,13 +72,12 @@ def _as_direction(direction, pi: ProbabilityVector, tol: float = 1e-9) -> Genera
     return direction
 
 
-def psi_solve(L: Generator, pi: ProbabilityVector, cycle: Cycle, y: int,
-              check: bool = True) -> np.ndarray:
+def psi_solve(L: Generator, pi: ProbabilityVector, cycle: Cycle, y: int) -> np.ndarray:
     """First-order response profile psi_y for a cycle direction.
 
     Solves L psi = L_A phi_y with psi(y) = 0, phi_y being the hitting-time
-    column to y, as psi = g(y) - g with g = Z L_A phi_y.  With ``check`` on,
-    the solution is compared against the independent closed form
+    column to y, as psi = g(y) - g with g = Z L_A phi_y.  The solution is
+    always compared against the independent closed form
 
         psi_y(x) = (1/n) sum_l (phi_y(a_{l+1}) - phi_y(a_l))
                                (phi_{a_l}(x) - phi_{a_l}(y)),
@@ -93,11 +89,9 @@ def psi_solve(L: Generator, pi: ProbabilityVector, cycle: Cycle, y: int,
     kern = hitting_kernel(L, pi)
     g = kern.Z @ (cycle_generator(pi, cycle).rates @ kern.E[:, y])
     psi = g[y] - g
-    if check:
-        closed = _psi_closed_form(kern.E, cycle, y)
-        err = float(np.abs(psi - closed).max())
-        if err > _rounding_tol(kern, 2):
-            raise IdentityViolation(f"psi closed-form disagreement {err!r}")
+    err = float(np.abs(psi - _psi_closed_form(kern.E, cycle, y)).max())
+    if err > _rounding_tol(kern, 2):
+        raise IdentityViolation(f"psi closed-form disagreement {err!r}")
     return psi
 
 
@@ -123,22 +117,6 @@ def _psi_closed_form(E: np.ndarray, cycle: Cycle, y: int) -> np.ndarray:
     return out / n_c
 
 
-def h_cycle(L: Generator, pi: ProbabilityVector, cycle: Cycle) -> float:
-    """Arc-average of the perturbation kernel along a cycle: H_A(L)."""
-    return hitting_kernel(L, pi).h_cycle(cycle)
-
-
-def _h_direction(kern: HittingKernel, direction: Generator) -> float:
-    off = direction.rates.copy()
-    np.fill_diagonal(off, 0.0)
-    return float(np.sum(kern.pi.weights[:, None] * off * kern.h))
-
-
-def h_direction(L: Generator, pi: ProbabilityVector, direction: Generator) -> float:
-    """H for a general direction: sum_{x != y} pi(x) L_dir(x,y) h(x,y)."""
-    return _h_direction(hitting_kernel(L, pi), direction)
-
-
 def directional_derivative(L: Generator, pi: ProbabilityVector, direction) -> float:
     """Derivative of F at L along the segment toward ``direction``.
 
@@ -150,7 +128,9 @@ def directional_derivative(L: Generator, pi: ProbabilityVector, direction) -> fl
     kern = hitting_kernel(L, pi)
     if isinstance(direction, Cycle):
         return kern.f - kern.h_cycle(direction)
-    return kern.f - _h_direction(kern, _as_direction(direction, pi))
+    off = _as_direction(direction, pi).rates.copy()
+    np.fill_diagonal(off, 0.0)
+    return kern.f - float(np.sum(pi.weights[:, None] * off * kern.h))
 
 
 def _h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
@@ -187,23 +167,21 @@ def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray, rates_b: np.ndarra
     return -float(kern.pi.weights @ np.diag(chained))
 
 
-def _second_directional(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle,
-                        check: bool) -> float:
+def _second_directional(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
     rates_a = cycle_generator(kern.pi, cycle_a).rates
     rates_b = cycle_generator(kern.pi, cycle_b).rates
     cross_ba = _mean_psi_cross(kern, rates_a, rates_b)
     cross_ab = _mean_psi_cross(kern, rates_b, rates_a)
-    if check:
-        assembled = _h_cross(kern, cycle_a, cycle_b)
-        if abs(assembled - cross_ba) > _rounding_tol(kern, 3):
-            raise IdentityViolation(
-                f"chained term mismatch: assembled {assembled!r} vs solved {cross_ba!r}")
+    assembled = _h_cross(kern, cycle_a, cycle_b)
+    if abs(assembled - cross_ba) > _rounding_tol(kern, 3):
+        raise IdentityViolation(
+            f"chained term mismatch: assembled {assembled!r} vs solved {cross_ba!r}")
     return (2.0 * kern.f - 2.0 * kern.h_cycle(cycle_a) - 2.0 * kern.h_cycle(cycle_b)
             + cross_ab + cross_ba)
 
 
 def second_directional(L: Generator, pi: ProbabilityVector, cycle_a: Cycle,
-                       cycle_b: Cycle | None = None, check: bool = True) -> float:
+                       cycle_b: Cycle | None = None) -> float:
     """Second derivative of F along cycle directions.
 
     For ``cycle_b`` None or equal to ``cycle_a`` this is the second
@@ -215,17 +193,12 @@ def second_directional(L: Generator, pi: ProbabilityVector, cycle_a: Cycle,
 
     The chained terms come from -sum_y pi(y) (Z L_B Z L_A E)[y, y], which
     keeps its accuracy where the arc-sum assembly of :func:`h_cross`
-    cancels large entries of h; with ``check`` on, the assembly is
-    compared against it within the rounding allowance of a quantity of
-    order M(L)^3 (see :func:`_rounding_tol`).
+    cancels large entries of h; the assembly is always compared against it
+    within the rounding allowance of a quantity of order M(L)^3 (see
+    :func:`_rounding_tol`).
     """
     return _second_directional(hitting_kernel(L, pi), cycle_a,
-                               cycle_a if cycle_b is None else cycle_b, check)
-
-
-def m_bound(L: Generator, pi: ProbabilityVector) -> float:
-    """M(L) = max_{x,y} E_x[tau_y]; controls all derivative bounds."""
-    return hitting_kernel(L, pi).m_bound
+                               cycle_a if cycle_b is None else cycle_b)
 
 
 @dataclass(frozen=True)
@@ -260,6 +233,6 @@ def derivative_report(L: Generator, pi: ProbabilityVector, cycle: Cycle,
         f_value=kern.f,
         h_cycle=h_a,
         first=kern.f - h_a,
-        second=_second_directional(kern, cycle, cycle, True) if with_second else None,
+        second=_second_directional(kern, cycle, cycle) if with_second else None,
         m_bound=kern.m_bound,
     )

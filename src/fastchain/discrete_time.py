@@ -29,9 +29,8 @@ from .generator import (
     NotIrreducible,
     ProbabilityVector,
     _require_irreducible,
-    _support_strongly_connected,
 )
-from .graph import DirectedGraph
+from .graph import DirectedGraph, _support_strongly_connected
 from .optimizer import CyclePolytope, _wedge
 from .rng import RandomStream
 
@@ -46,7 +45,6 @@ __all__ = [
     "to_kernel",
     "to_generator",
     "compare_wedges",
-    "match_multisets",
 ]
 
 
@@ -84,7 +82,7 @@ class Kernel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Kernel":
-        return cls(np.asarray(obj.get("rates", obj.get("entries")), dtype=float))
+        return cls(np.asarray(obj["rates"], dtype=float))
 
 
 def _require_kernel_irreducible(K: Kernel):
@@ -179,20 +177,6 @@ def to_generator(K: Kernel, pi: ProbabilityVector) -> tuple:
     return Generator(k * (K.entries - np.eye(K.n))), k
 
 
-def match_multisets(a, b, tol: float = 1e-7) -> bool:
-    """Greedy nearest-neighbor pairing of two complex multisets."""
-    rem = list(b)
-    for z in a:
-        if not rem:
-            return False
-        dists = [abs(z - w) for w in rem]
-        k = int(np.argmin(dists))
-        if dists[k] > tol:
-            return False
-        rem.pop(k)
-    return not rem
-
-
 @dataclass(frozen=True)
 class WedgeComparison:
     f_wedge: float
@@ -209,8 +193,7 @@ class WedgeComparison:
         }
 
 
-def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0,
-                   max_count: int = 100_000) -> WedgeComparison:
+def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> WedgeComparison:
     """Both infima side by side; the discrete one can never be smaller.
 
     Every kernel can be slowed-down-free replaced by its K0 representative,
@@ -220,7 +203,7 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0,
     grid plus pairwise pattern descent over the mixture weights (heuristic;
     exact closed forms back it up at desk scale in the tests).
     """
-    poly = CyclePolytope(g, pi, max_count)
+    poly = CyclePolytope(g, pi)
     f_best, report = _wedge(poly, seed=seed)
 
     def discrete_objective(w: np.ndarray) -> float:

@@ -48,7 +48,6 @@ __all__ = [
     "continuous_value_function",
     "optimal_budget_search",
     "extract_policy_path",
-    "value_iteration_oracle",
 ]
 
 MAX_BITS = 20
@@ -111,8 +110,14 @@ class ValueTable:
 
     def full_visit_value(self, start: int) -> float:
         """Cost when ``start`` itself also remains to be (re)visited: the
-        first move pays n per unit of its duration."""
-        return float(min(cost for cost, _ in self._moves(start, (1 << self.n) - 1)))
+        first move pays n per unit of its duration.
+
+        Raises ``ValueError`` when ``start`` has no move: a continuous chain
+        on one vertex can never return to it, so the value is +inf."""
+        moves = self._moves(start, (1 << self.n) - 1)
+        if not moves:
+            raise ValueError(f"vertex {start} has no move, so it is never revisited")
+        return float(min(cost for cost, _ in moves))
 
     def mean_start_value(self) -> float:
         return float(np.mean([self.start_value(i) for i in range(self.n)]))
@@ -323,30 +328,3 @@ def optimal_budget_search(g: DirectedGraph, grid: int = 12,
             step /= 2.0
     return BudgetSearchResult(best_budgets=a, best_value=float(best_v))
 
-
-def value_iteration_oracle(g: DirectedGraph, step_cost) -> np.ndarray:
-    """Independent cross-check: Bellman sweeps over the whole state space
-    until a fixed point.  Exponential-time-ish but fine for n <= 8."""
-    n = g.n
-    succ = g.successor_lists()
-    size = 1 << n
-    values = np.full((n, size), np.inf)
-    values[:, 0] = 0.0
-    changed = True
-    while changed:
-        changed = False
-        for mask in range(1, size):
-            level = mask.bit_count()
-            for i in range(n):
-                if (mask >> i) & 1:
-                    continue
-                best = np.inf
-                for j in succ[i]:
-                    nxt = mask ^ (1 << j) if (mask >> j) & 1 else mask
-                    cand = step_cost(i, level) + values[j, nxt]
-                    if cand < best:
-                        best = cand
-                if best < values[i, mask] - 1e-12:
-                    values[i, mask] = best
-                    changed = True
-    return values

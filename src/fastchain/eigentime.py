@@ -33,18 +33,12 @@ __all__ = [
     "Spectrum",
     "HittingReport",
     "HittingKernel",
-    "NotCentered",
     "SpectrumAmbiguous",
     "IdentityViolation",
     "hitting_kernel",
-    "poisson_solve",
-    "expected_hitting_times",
-    "kemeny_times",
     "inverse_speed",
     "spectrum",
     "eigentime_spectral",
-    "second_moment_hitting",
-    "h_matrix",
     "spectral_second_identity",
     "return_time_identities",
     "simulate_hitting",
@@ -53,10 +47,6 @@ __all__ = [
 ]
 
 ZERO_EIGEN_TOL = 1e-8
-
-
-class NotCentered(ValueError):
-    """Right-hand side of a Poisson solve has nonzero pi-mean."""
 
 
 class SpectrumAmbiguous(ValueError):
@@ -116,6 +106,15 @@ def _hitting_times(Z: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (Z.diagonal(axis1=-2, axis2=-1)[..., None, :] - Z) / p
 
 
+def _perturbation_kernel(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """h from Z and E: with W = Z E, h = -aux.T for the anchored solutions
+    aux[:, y] = W[y, y] - W[:, y] (see :class:`HittingKernel`).  Negating
+    aux, rather than subtracting the other way round, gives the same bits
+    off the diagonal and keeps the -0.0 diagonal that reports print."""
+    W = Z @ E
+    return -(np.diag(W)[None, :] - W).T
+
+
 @dataclass(frozen=True, eq=False)
 class HittingKernel:
     """Every hitting-time functional of one (L, pi), from one inverse of Pi - L.
@@ -170,57 +169,19 @@ def hitting_kernel(L: Generator, pi: ProbabilityVector) -> HittingKernel:
     if resid > 1e-9:
         raise NotInvariant(f"pi L residual {resid!r}")
     Z, E = _fundamental(L.rates, p)
-    W = Z @ E
-    aux = np.diag(W)[None, :] - W
-    h = -aux.T
+    h = _perturbation_kernel(Z, E)
     return HittingKernel(
         pi=pi,
         Z=Z,
         E=E,
-        second_moments=2.0 * ((p @ E)[None, :] * E - aux),
+        # h.T is exactly -aux, so adding it subtracts aux
+        second_moments=2.0 * ((p @ E)[None, :] * E + h.T),
         h=h,
         kemeny=E @ p,
         f=float(p @ E @ p),
         h_mean=float(p @ h @ p),
         m_bound=float(E.max()),
     )
-
-
-def poisson_solve(L: Generator, pi: ProbabilityVector, rhs: np.ndarray, anchor: int) -> np.ndarray:
-    """Solve L g = rhs with g(anchor) = 0.
-
-    The anchored system drops the (linearly dependent) anchor row and the
-    anchor column; irreducibility makes the reduced matrix nonsingular.
-
-    Parameters
-    ----------
-    rhs : array
-        Must have pi-mean zero within 1e-9; otherwise no solution exists.
-    anchor : int
-        Vertex where the solution is pinned to zero.
-
-    Raises
-    ------
-    NotCentered, NotIrreducible
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    if abs(float(pi.weights @ rhs)) > 1e-9:
-        raise NotCentered(f"pi-mean of rhs is {float(pi.weights @ rhs)!r}")
-    _require_irreducible(L)
-    keep = [i for i in range(L.n) if i != anchor]
-    g = np.zeros(L.n)
-    g[keep] = np.linalg.solve(L.rates[np.ix_(keep, keep)], rhs[keep])
-    return g
-
-
-def expected_hitting_times(L: Generator, pi: ProbabilityVector) -> np.ndarray:
-    """E_x[tau_y] for all pairs; diagonal is zero."""
-    return hitting_kernel(L, pi).E
-
-
-def kemeny_times(L: Generator, pi: ProbabilityVector) -> np.ndarray:
-    """Vector of sum_y pi(y) E_x[tau_y]; constant in x (the Kemeny constant)."""
-    return hitting_kernel(L, pi).kemeny
 
 
 def inverse_speed(L: Generator, pi: ProbabilityVector) -> float:
@@ -263,23 +224,6 @@ def eigentime_spectral(L: Generator) -> float:
     return spectrum(L).sum_reciprocals(1)
 
 
-def second_moment_hitting(L: Generator, pi: ProbabilityVector) -> np.ndarray:
-    """E_x[tau_y^2] for all pairs.
-
-    With phi_y the hitting-time column to y and aux_y the anchored solution
-    of L aux = phi_y - pi[phi_y], the second moment is
-    2 (pi[phi_y] phi_y(x) - aux_y(x)).  A Monte Carlo oracle for this
-    formula is :func:`simulate_hitting`.
-    """
-    return hitting_kernel(L, pi).second_moments
-
-
-def h_matrix(L: Generator, pi: ProbabilityVector) -> np.ndarray:
-    """First-order perturbation kernel h(x, y) = E_y[tau_x^2]/2 - E_pi[tau_x] E_y[tau_x],
-    computed as minus the chained-Poisson solution evaluated crosswise."""
-    return hitting_kernel(L, pi).h
-
-
 def spectral_second_identity(L: Generator, pi: ProbabilityVector) -> tuple:
     """Both sides of sum_{x,y} pi(x) pi(y) h(x,y) = sum 1/lambda^2."""
     return hitting_kernel(L, pi).h_mean, spectrum(L).sum_reciprocals(2)
@@ -308,7 +252,7 @@ def return_time_identities(L: Generator, pi: ProbabilityVector, y: int) -> Retur
     = 1/L(y) exactly, and the classical "+1" shift of the spectral sum can
     only hold at vertices with unit exit rate; both sides are reported
     rather than asserted.  The identities that do hold unconditionally are
-    the target-averaged (Kemeny) ones, see :func:`kemeny_times`.
+    the target-averaged (Kemeny) ones, see :attr:`HittingKernel.kemeny`.
     """
     E = hitting_kernel(L, pi).E
     s = spectrum(L).sum_reciprocals(1)

@@ -38,7 +38,6 @@ from .graph import (
     DirectedGraph,
     enumerate_hamiltonian_cycles,
     enumerate_simple_cycles,
-    is_strongly_connected,
 )
 from .optimizer import frank_wolfe_minimize
 from .rng import RandomStream
@@ -47,7 +46,6 @@ __all__ = [
     "InvalidTrees",
     "SearchExhausted",
     "NotLength3",
-    "NotPositive",
     "CounterexampleReport",
     "SegmentReport",
     "Theorem2ProbeReport",
@@ -71,10 +69,6 @@ class SearchExhausted(RuntimeError):
 
 class NotLength3(ValueError):
     """Segment closed forms require a measure on exactly three vertices."""
-
-
-class NotPositive(ValueError):
-    """Measure entries must be strictly positive."""
 
 
 def build_cycle_tree_generator(g: DirectedGraph, short_cycle: Cycle,
@@ -225,8 +219,6 @@ def find_counterexample(g: DirectedGraph, r_grid=None, eps_grid=None) -> Counter
     SearchExhausted
         When no grid point certifies; a probe failure, not a library error.
     """
-    if not is_strongly_connected(g):
-        raise ValueError("graph must be strongly connected")
     hams = enumerate_hamiltonian_cycles(g)
     if not hams:
         raise ValueError("graph has no Hamiltonian cycle; nothing to beat")
@@ -297,8 +289,6 @@ def s2_closed_form(pi: ProbabilityVector) -> SegmentReport:
     """
     if pi.n != 3:
         raise NotLength3(f"need exactly 3 vertices, got {pi.n}")
-    if np.any(pi.weights <= 0):
-        raise NotPositive("measure entries must be positive")
     x, _, z = (float(v) for v in pi.weights)
     relabeled = abs(x - 0.5) < abs(z - 0.5)
     if relabeled:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Cycle, DirectedGraph
+from .graph import Cycle, DirectedGraph, _support_strongly_connected
 
 __all__ = [
     "ProbabilityVector",
@@ -165,28 +165,12 @@ def cycle_generator(pi: ProbabilityVector, cycle: Cycle) -> Generator:
     return Generator(rates)
 
 
-def support_graph(L: Generator, tol: float = 0.0) -> DirectedGraph:
+def support_graph(L: Generator) -> DirectedGraph:
     """Graph of strictly positive off-diagonal rates."""
     n = L.n
     edges = [(i, j) for i in range(n) for j in range(n)
-             if i != j and L.rates[i, j] > tol]
+             if i != j and L.rates[i, j] > 0]
     return DirectedGraph(n, edges)
-
-
-def _support_strongly_connected(rates: np.ndarray) -> bool:
-    """True iff the positive off-diagonal entries of ``rates`` form a strongly
-    connected digraph, by transitive closure: after k squarings ``reach``
-    holds every walk of length up to 2^k, and ceil(log2 n) squarings cover
-    the n - 1 steps of any path.  The products run in BLAS and are clamped
-    back to 1 after each squaring, so entries stay in {0, 1} instead of
-    counting walks, which overflows; no entry of a product exceeds n, so the
-    clamp is exact."""
-    n = rates.shape[0]
-    reach = (rates > 0).astype(float)
-    reach.flat[::n + 1] = 1.0
-    for _ in range((n - 1).bit_length()):
-        reach = np.minimum(reach @ reach, 1.0)
-    return bool(reach.all())
 
 
 def _require_irreducible(L: Generator):

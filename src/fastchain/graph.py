@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "DirectedGraph",
     "Cycle",
@@ -17,11 +19,8 @@ __all__ = [
     "is_strongly_connected",
     "enumerate_simple_cycles",
     "enumerate_hamiltonian_cycles",
-    "has_hamiltonian_cycle",
-    "has_hamiltonian_path_from",
     "hypercube_graph",
     "gray_code_cycle",
-    "cyclic_distance",
     "complete_graph",
     "segment_graph",
 ]
@@ -49,9 +48,6 @@ class DirectedGraph:
                 raise ValueError(f"arc ({i},{j}) out of range for n={n}")
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", arcs)
-
-    def successors(self, i: int) -> tuple:
-        return tuple(sorted(j for (a, j) in self.edges if a == i))
 
     def successor_lists(self) -> list:
         """Adjacency as a list of sorted successor lists."""
@@ -112,21 +108,25 @@ class Cycle:
 
 def is_strongly_connected(g: DirectedGraph) -> bool:
     """True iff every vertex reaches every other along directed arcs."""
-    if g.n == 1:
-        return True
-    return _reaches_all(g.successor_lists()) and _reaches_all(g.predecessor_lists())
+    adj = np.zeros((g.n, g.n))
+    adj[[i for i, _ in g.edges], [j for _, j in g.edges]] = 1.0
+    return _support_strongly_connected(adj)
 
 
-def _reaches_all(adj: list) -> bool:
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == len(adj)
+def _support_strongly_connected(rates: np.ndarray) -> bool:
+    """True iff the positive off-diagonal entries of ``rates`` form a strongly
+    connected digraph, by transitive closure: after k squarings ``reach``
+    holds every walk of length up to 2^k, and ceil(log2 n) squarings cover
+    the n - 1 steps of any path.  The products run in BLAS and are clamped
+    back to 1 after each squaring, so entries stay in {0, 1} instead of
+    counting walks, which overflows; no entry of a product exceeds n, so the
+    clamp is exact."""
+    n = rates.shape[0]
+    reach = (rates > 0).astype(float)
+    reach.flat[::n + 1] = 1.0
+    for _ in range((n - 1).bit_length()):
+        reach = np.minimum(reach @ reach, 1.0)
+    return bool(reach.all())
 
 
 def enumerate_simple_cycles(g: DirectedGraph, max_count: int = DEFAULT_CYCLE_BUDGET) -> list:
@@ -207,64 +207,31 @@ def enumerate_hamiltonian_cycles(g: DirectedGraph) -> list:
     """All cycles visiting every vertex exactly once; empty if none exist."""
     if not is_strongly_connected(g):
         raise ValueError("graph must be strongly connected")
-    return list(_hamiltonian_iter(g))
-
-
-def has_hamiltonian_cycle(g: DirectedGraph) -> bool:
-    """Existence check that stops at the first Hamiltonian cycle found."""
-    if not is_strongly_connected(g):
-        return False
-    for _ in _hamiltonian_iter(g):
-        return True
-    return False
-
-
-def _hamiltonian_iter(g: DirectedGraph):
     # root at 0: every Hamiltonian cycle contains the minimal vertex
     n = g.n
     if n == 1:
-        return
+        return []
     succ = g.successor_lists()
     path = [0]
     visited = [False] * n
     visited[0] = True
+    cycles = []
 
     def extend(v):
         if len(path) == n:
             if g.has_edge(v, 0):
-                yield Cycle(path)
+                cycles.append(Cycle(path))
             return
         for w in succ[v]:
             if not visited[w]:
                 visited[w] = True
                 path.append(w)
-                yield from extend(w)
+                extend(w)
                 path.pop()
                 visited[w] = False
 
-    yield from extend(0)
-
-
-def has_hamiltonian_path_from(g: DirectedGraph, start: int) -> bool:
-    """True iff some simple path from ``start`` visits every vertex."""
-    n = g.n
-    succ = g.successor_lists()
-    visited = [False] * n
-    visited[start] = True
-
-    def extend(v, count) -> bool:
-        if count == n:
-            return True
-        for w in succ[v]:
-            if not visited[w]:
-                visited[w] = True
-                if extend(w, count + 1):
-                    visited[w] = False
-                    return True
-                visited[w] = False
-        return False
-
-    return extend(start, 1)
+    extend(0)
+    return cycles
 
 
 def hypercube_graph(dim: int) -> DirectedGraph:
@@ -284,16 +251,6 @@ def gray_code_cycle(dim: int) -> Cycle:
     if not 1 <= dim <= 16:
         raise ValueError("dim must be between 1 and 16")
     return Cycle([i ^ (i >> 1) for i in range(1 << dim)])
-
-
-def cyclic_distance(cycle: Cycle, x: int, y: int) -> int:
-    """Number of forward steps along the cycle from x to y."""
-    v = cycle.vertices
-    try:
-        ix, iy = v.index(x), v.index(y)
-    except ValueError as exc:
-        raise ValueError(f"vertex not on cycle {v}") from exc
-    return (iy - ix) % len(v)
 
 
 def complete_graph(n: int) -> DirectedGraph:

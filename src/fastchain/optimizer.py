@@ -27,9 +27,9 @@ from math import comb, log
 
 import numpy as np
 
-from .eigentime import _hitting_times, hitting_kernel
-from .generator import Generator, ProbabilityVector, _support_strongly_connected, cycle_generator
-from .graph import DirectedGraph, enumerate_simple_cycles, is_strongly_connected
+from .eigentime import _hitting_times, _perturbation_kernel, hitting_kernel
+from .generator import Generator, ProbabilityVector, cycle_generator
+from .graph import DirectedGraph, _support_strongly_connected, enumerate_simple_cycles
 from .rng import RandomStream
 
 __all__ = [
@@ -92,15 +92,12 @@ class CyclePolytope:
     there the rates are the ones that are right.
     """
 
-    def __init__(self, g: DirectedGraph, pi: ProbabilityVector,
-                 max_count: int = 100_000):
+    def __init__(self, g: DirectedGraph, pi: ProbabilityVector):
         if g.n != pi.n:
             raise ValueError("graph / pi dimension mismatch")
-        if not is_strongly_connected(g):
-            raise ValueError("graph must be strongly connected")
         self.graph = g
         self.pi = pi
-        self.cycles = tuple(enumerate_simple_cycles(g, max_count))
+        self.cycles = tuple(enumerate_simple_cycles(g))
         n = pi.n
         self._mats = np.stack([cycle_generator(pi, c).rates for c in self.cycles])
         self._flat = self._mats.reshape(self.m, n * n)
@@ -153,8 +150,7 @@ class CyclePolytope:
         p = self.pi.weights
         Z = np.linalg.inv(self._Pi - rates)
         E = _hitting_times(Z, p)
-        W = Z @ E
-        H = W.T - np.diag(W)[:, None]
+        H = _perturbation_kernel(Z, E)
         f = float(p @ E @ p)
         hvals = np.array([
             H[self._arc_rows[k], self._arc_cols[k]].mean() for k in range(self.m)
@@ -212,7 +208,6 @@ def _line_search(poly: CyclePolytope, point, lo: float, hi: float,
 def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
                          tol: float = 1e-8, max_iters: int = 10_000,
                          seed: int = 0, extra_starts: int = 4,
-                         max_count: int = 100_000,
                          polytope: CyclePolytope | None = None) -> OptimizeReport:
     """Conditional-gradient minimization of F over the cycle polytope.
 
@@ -231,7 +226,7 @@ def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
     CycleBudgetExceeded
         Propagated from cycle enumeration when the instance is too large.
     """
-    poly = polytope if polytope is not None else CyclePolytope(g, pi, max_count)
+    poly = polytope if polytope is not None else CyclePolytope(g, pi)
     m = poly.m
     starts = [np.full(m, 1.0 / m)]
     stream = RandomStream(seed)
@@ -326,7 +321,6 @@ def _snap(poly: CyclePolytope, w: np.ndarray, f: float, hvals: np.ndarray) -> tu
 
 def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
                          grid_resolution: int,
-                         max_count: int = 100_000,
                          polytope: CyclePolytope | None = None) -> OptimizeReport:
     """Grid scan of the weight simplex; oracle for the conditional-gradient path.
 
@@ -335,7 +329,7 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
     """
     if grid_resolution < 10:
         raise ValueError("grid_resolution must be at least 10")
-    poly = polytope if polytope is not None else CyclePolytope(g, pi, max_count)
+    poly = polytope if polytope is not None else CyclePolytope(g, pi)
     m = poly.m
     if m > 6:
         raise TooManyCycles(f"{m} cycles; grid search supports at most 6")
@@ -436,14 +430,14 @@ def epsilon_neighborhood(n: int, pi_min: float) -> EpsilonNeighborhood:
 
 def f_wedge(g: DirectedGraph, pi: ProbabilityVector, tol: float = 1e-8,
             max_iters: int = 10_000, seed: int = 0, extra_starts: int = 8,
-            brute_resolution: int = 60, max_count: int = 100_000) -> float:
+            brute_resolution: int = 60) -> float:
     """Best achievable F over the polytope: multi-start conditional gradient,
     cross-checked by the grid oracle whenever at most 6 cycles exist.
 
     The grid resolution is capped so the scan stays around 2e4 points;
     ``brute_resolution`` is the upper bound actually used for few cycles.
     """
-    poly = CyclePolytope(g, pi, max_count)
+    poly = CyclePolytope(g, pi)
     return _wedge(poly, tol, max_iters, seed, extra_starts, brute_resolution)[0]
 
 

@@ -7,9 +7,12 @@ points) and guarantees pi-invariance by construction.
 
 The anchored oracles solve one reduced linear system per column, a route
 independent of the fundamental-matrix kernel the package uses.  The
-covering-DP oracle fills the (vertex, unvisited-set) table mask by mask
-with a heap-based Dijkstra per popcount level, a route independent of the
-package's level-vectorized relaxations.
+covering-DP oracles fill the (vertex, unvisited-set) table mask by mask,
+with a heap-based Dijkstra per popcount level or with Bellman sweeps over
+the whole state space, routes independent of the package's
+level-vectorized relaxations.  Strong connectivity and Hamiltonian paths
+and cycles are found by plain depth-first search, independent of the
+package's transitive closure and cycle enumeration.
 """
 
 import heapq
@@ -203,3 +206,100 @@ def dijkstra_table_oracle(g: DirectedGraph, step_cost, terminal=None) -> np.ndar
                         dist[i] = cand
                         heapq.heappush(heap, (cand, i))
     return values
+
+
+def value_iteration_oracle(g: DirectedGraph, step_cost) -> np.ndarray:
+    """Covering-DP values by Bellman sweeps over the whole state space until
+    a fixed point.  Exponential-time-ish but fine for n <= 8."""
+    n = g.n
+    succ = g.successor_lists()
+    size = 1 << n
+    values = np.full((n, size), np.inf)
+    values[:, 0] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for mask in range(1, size):
+            level = mask.bit_count()
+            for i in range(n):
+                if (mask >> i) & 1:
+                    continue
+                best = np.inf
+                for j in succ[i]:
+                    nxt = mask ^ (1 << j) if (mask >> j) & 1 else mask
+                    cand = step_cost(i, level) + values[j, nxt]
+                    if cand < best:
+                        best = cand
+                if best < values[i, mask] - 1e-12:
+                    values[i, mask] = best
+                    changed = True
+    return values
+
+
+def _reaches_all(adj: list) -> bool:
+    seen = {0}
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return len(seen) == len(adj)
+
+
+def strongly_connected_by_search(g: DirectedGraph) -> bool:
+    """Strong connectivity by depth-first search from vertex 0, forward
+    along the arcs and backward against them."""
+    if g.n == 1:
+        return True
+    return _reaches_all(g.successor_lists()) and _reaches_all(g.predecessor_lists())
+
+
+def _hamiltonian_path_from(succ: list, start: int, closes) -> bool:
+    """Depth-first search for a simple path from ``start`` through every
+    vertex whose last vertex satisfies ``closes``."""
+    n = len(succ)
+    visited = [False] * n
+    visited[start] = True
+
+    def extend(v, count) -> bool:
+        if count == n:
+            return closes(v)
+        for w in succ[v]:
+            if not visited[w]:
+                visited[w] = True
+                found = extend(w, count + 1)
+                visited[w] = False
+                if found:
+                    return True
+        return False
+
+    return extend(start, 1)
+
+
+def has_hamiltonian_path_from(g: DirectedGraph, start: int) -> bool:
+    """True iff some simple path from ``start`` visits every vertex."""
+    return _hamiltonian_path_from(g.successor_lists(), start, lambda v: True)
+
+
+def has_hamiltonian_cycle(g: DirectedGraph) -> bool:
+    """True iff some cycle visits every vertex exactly once; every such cycle
+    passes through vertex 0, so the search is rooted there."""
+    if g.n == 1:
+        return False
+    return _hamiltonian_path_from(g.successor_lists(), 0, lambda v: g.has_edge(v, 0))
+
+
+def match_multisets(a, b, tol: float = 1e-7) -> bool:
+    """Greedy nearest-neighbor pairing of two complex multisets."""
+    rem = list(b)
+    for z in a:
+        if not rem:
+            return False
+        dists = [abs(z - w) for w in rem]
+        k = int(np.argmin(dists))
+        if dists[k] > tol:
+            return False
+        rem.pop(k)
+    return not rem

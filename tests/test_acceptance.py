@@ -12,16 +12,14 @@ import time
 import numpy as np
 from numpy.testing import assert_allclose
 
-from fastchain.derivatives import directional_derivative, h_cycle, second_directional
+from fastchain.derivatives import directional_derivative, second_directional
 from fastchain.discrete_time import compare_wedges, frak_f, hunter_trace, to_generator, to_kernel
 from fastchain.dp import continuous_value_function, discrete_value_function, optimal_budget_search
 from fastchain.eigentime import (
     eigentime_spectral,
-    expected_hitting_times,
     hamiltonian_speed_value,
+    hitting_kernel,
     inverse_speed,
-    kemeny_times,
-    second_moment_hitting,
     simulate_hitting,
     spectral_second_identity,
 )
@@ -40,15 +38,19 @@ from fastchain.graph import (
     complete_graph,
     enumerate_hamiltonian_cycles,
     enumerate_simple_cycles,
-    has_hamiltonian_cycle,
-    has_hamiltonian_path_from,
     is_strongly_connected,
     segment_graph,
 )
 from fastchain.optimizer import brute_force_minimize, frank_wolfe_minimize
 from fastchain.rng import RandomStream
 
-from conftest import f_reference, random_ham_digraph, random_pi
+from conftest import (
+    f_reference,
+    has_hamiltonian_cycle,
+    has_hamiltonian_path_from,
+    random_ham_digraph,
+    random_pi,
+)
 
 
 def _report(name: str, started: float, budget: float):
@@ -100,7 +102,7 @@ def test_criterion_2_eigentime_identities():
         assert abs(f - eigentime_spectral(L)) <= 1e-8
         lhs, rhs = spectral_second_identity(L, pi)
         assert abs(lhs - rhs) <= 1e-8
-        kem = kemeny_times(L, pi)
+        kem = hitting_kernel(L, pi).kemeny
         assert kem.max() - kem.min() <= 1e-9
     _report("2 eigentime-identities", started, 10.0)
 
@@ -132,7 +134,7 @@ def test_criterion_3_derivative_oracle():
         cyc = cycles[int(s.uniform(1)[0] * len(cycles))]
         # sign convention: second derivative of e -> F((1-e)L + e L_A),
         # matched directly against its own Taylor quotient
-        analytic = second_directional(L, pi, cyc, check=True)
+        analytic = second_directional(L, pi, cyc)
         eps = 1e-3
         LA = cycle_generator(pi, cyc).rates
         f0 = f_reference(L.rates, pi)
@@ -149,11 +151,12 @@ def test_criterion_4_ascent_margin_exhaustive():
         A = Cycle(list(range(n)))
         L = cycle_generator(pi, A)
         f = inverse_speed(L, pi)
+        kern = hitting_kernel(L, pi)
         bound = (n - 1) / (2 * n)
         for c in enumerate_simple_cycles(complete_graph(n), max_count=100_000):
             if c == A:
                 continue
-            assert f - h_cycle(L, pi, c) >= bound - 1e-10
+            assert f - kern.h_cycle(c) >= bound - 1e-10
     _report("4 hamiltonian-ascent-margin", started, 60.0)
 
 
@@ -292,8 +295,9 @@ def test_criterion_10_monte_carlo():
         (mix, pi3, 2, 1, 105),
     ]
     for L, pi, x, y, seed in instances:
-        exact_mean = float(expected_hitting_times(L, pi)[x, y])
-        exact_m2 = float(second_moment_hitting(L, pi)[x, y])
+        kern = hitting_kernel(L, pi)
+        exact_mean = float(kern.E[x, y])
+        exact_m2 = float(kern.second_moments[x, y])
         rep = simulate_hitting(L, x, y, 1_000_000, seed=seed)
         assert abs(rep.mean - exact_mean) <= 4 * rep.std_error
         assert abs(rep.second_moment - exact_m2) <= 4 * rep.second_moment_std_error

@@ -166,6 +166,17 @@ def test_dp_single_vertex(tmp_path, capsys, args, value, path):
     assert doc["checks"]["value_minus_hamiltonian_bound"] == 0.0
 
 
+def test_dp_single_vertex_continuous_full_set_has_no_move(tmp_path, capsys):
+    """A continuous chain has no self-transition, so it can never return to
+    a lone vertex: the full-set value is +inf, which JSON cannot carry, and
+    the command exits 2 naming the vertex."""
+    gpath = write(tmp_path, "g1.json", {"n": 1, "edges": []})
+    code, out, err = run_cli(["dp", "--graph", gpath, "--mode", "continuous", "--full-set"],
+                             capsys)
+    assert code == 2 and out == ""
+    assert "vertex 0 has no move" in err
+
+
 @pytest.mark.parametrize("start", ["-1", "99"])
 def test_dp_start_out_of_range(tmp_path, capsys, start):
     gpath = write(tmp_path, "k4.json", complete_graph(4).to_json())

@@ -8,8 +8,6 @@ from fastchain.derivatives import (
     derivative_report,
     directional_derivative,
     h_cross,
-    h_cycle,
-    m_bound,
     psi_solve,
     second_directional,
 )
@@ -42,7 +40,7 @@ def second_fd(L, pi, cycle, eps=1e-3):
 
 
 def test_psi_anchoring_and_closed_form(pi3, uniform_cycle3):
-    psi = psi_solve(uniform_cycle3, pi3, Cycle([0, 1]), 1, check=True)
+    psi = psi_solve(uniform_cycle3, pi3, Cycle([0, 1]), 1)
     assert psi[1] == 0.0
 
 
@@ -54,14 +52,14 @@ def test_psi_average_reproduces_h_cycle():
         pi = random_pi(s, n)
         L, cycles, _ = random_member(complete_graph(n), pi, s)
         cyc = cycles[int(s.uniform(1)[0] * len(cycles))]
-        total = sum(pi[y] * float(pi.weights @ psi_solve(L, pi, cyc, y, check=True))
+        total = sum(pi[y] * float(pi.weights @ psi_solve(L, pi, cyc, y))
                     for y in range(n))
-        assert abs(total - h_cycle(L, pi, cyc)) <= 1e-10
+        assert abs(total - hitting_kernel(L, pi).h_cycle(cyc)) <= 1e-10
 
 
 def test_h_cycle_uniform_cycle_values(uniform_cycle3, pi3):
-    assert abs(h_cycle(uniform_cycle3, pi3, Cycle([0, 1, 2])) - 1.0) <= 1e-12
-    assert abs(h_cycle(uniform_cycle3, pi3, Cycle([0, 1])) - 0.5) <= 1e-12
+    assert abs(hitting_kernel(uniform_cycle3, pi3).h_cycle(Cycle([0, 1, 2])) - 1.0) <= 1e-12
+    assert abs(hitting_kernel(uniform_cycle3, pi3).h_cycle(Cycle([0, 1])) - 0.5) <= 1e-12
 
 
 def test_h_cycle_hamiltonian_is_half_n_minus_1():
@@ -69,7 +67,7 @@ def test_h_cycle_hamiltonian_is_half_n_minus_1():
         pi = ProbabilityVector.uniform(n)
         A = Cycle(list(range(n)))
         L = cycle_generator(pi, A)
-        assert abs(h_cycle(L, pi, A) - (n - 1) / 2) <= 1e-10
+        assert abs(hitting_kernel(L, pi).h_cycle(A) - (n - 1) / 2) <= 1e-10
 
 
 def test_directional_derivative_examples(uniform_cycle3, pi3):
@@ -120,7 +118,7 @@ def test_second_directional_vs_finite_differences():
         pi = random_pi(s, n)
         L, cycles, _ = random_member(complete_graph(n), pi, s)
         cyc = cycles[int(s.uniform(1)[0] * len(cycles))]
-        analytic = second_directional(L, pi, cyc, check=True)
+        analytic = second_directional(L, pi, cyc)
         fd = second_fd(L, pi, cyc)
         assert abs(analytic - fd) <= 1e-3 * max(1.0, abs(fd))
 
@@ -134,8 +132,8 @@ def test_second_directional_mixed_symmetric_and_matches_fd():
         L, cycles, _ = random_member(complete_graph(n), pi, s)
         ca = cycles[int(s.uniform(1)[0] * len(cycles))]
         cb = cycles[int(s.uniform(1)[0] * len(cycles))]
-        d_ab = second_directional(L, pi, ca, cb, check=True)
-        d_ba = second_directional(L, pi, cb, ca, check=False)
+        d_ab = second_directional(L, pi, ca, cb)
+        d_ba = second_directional(L, pi, cb, ca)
         assert abs(d_ab - d_ba) <= 1e-9
         eps = 1e-3
         Wa = cycle_generator(pi, ca).rates - L.rates
@@ -148,9 +146,9 @@ def test_second_directional_mixed_symmetric_and_matches_fd():
 
 
 def test_m_bound_examples(uniform_cycle3, pi3):
-    assert abs(m_bound(uniform_cycle3, pi3) - 2.0) <= 1e-12
+    assert abs(hitting_kernel(uniform_cycle3, pi3).m_bound - 2.0) <= 1e-12
     doubled = Generator(2 * uniform_cycle3.rates)
-    assert abs(m_bound(doubled, pi3) - 1.0) <= 1e-12
+    assert abs(hitting_kernel(doubled, pi3).m_bound - 1.0) <= 1e-12
 
 
 def test_m_bound_dominates_f():
@@ -160,7 +158,7 @@ def test_m_bound_dominates_f():
         n = 3 + t % 4
         pi = random_pi(s, n)
         L, _, _ = random_member(complete_graph(n), pi, s)
-        m = m_bound(L, pi)
+        m = hitting_kernel(L, pi).m_bound
         f = inverse_speed(L, pi)
         assert f <= m + 1e-12
         assert m <= f / pi.pi_min ** 2 + 1e-9
@@ -176,9 +174,9 @@ def test_derivative_bounds_random_triples():
         L, cycles, _ = random_member(complete_graph(n), pi, s)
         ca = cycles[int(s.uniform(1)[0] * len(cycles))]
         cb = cycles[int(s.uniform(1)[0] * len(cycles))]
-        m = m_bound(L, pi)
+        m = hitting_kernel(L, pi).m_bound
         assert abs(directional_derivative(L, pi, ca)) <= m + m * m + 1e-9
-        d2 = second_directional(L, pi, ca, cb, check=False)
+        d2 = second_directional(L, pi, ca, cb)
         assert abs(d2) <= 2 * (m + m ** 2 + m ** 3) + 1e-9
 
 
@@ -190,10 +188,11 @@ def test_hamiltonian_ascent_margin_small_n():
         A = Cycle(list(range(n)))
         L = cycle_generator(pi, A)
         f = inverse_speed(L, pi)
+        kern = hitting_kernel(L, pi)
         for c in enumerate_simple_cycles(complete_graph(n)):
             if c == A:
                 continue
-            assert f - h_cycle(L, pi, c) >= (n - 1) / (2 * n) - 1e-10
+            assert f - kern.h_cycle(c) >= (n - 1) / (2 * n) - 1e-10
 
 
 def test_derivative_report(uniform_cycle3, pi3):

@@ -10,7 +10,6 @@ from fastchain.discrete_time import (
     discrete_hitting_times,
     frak_f,
     hunter_trace,
-    match_multisets,
     to_generator,
     to_kernel,
 )
@@ -19,7 +18,7 @@ from fastchain.generator import Generator, ProbabilityVector, invariant_measure
 from fastchain.graph import complete_graph
 from fastchain.rng import RandomStream
 
-from conftest import random_member, random_pi
+from conftest import match_multisets, random_member, random_pi
 
 
 def first_step_hitting_times(K: Kernel) -> np.ndarray:

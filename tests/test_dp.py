@@ -12,18 +12,21 @@ from fastchain.dp import (
     discrete_value_function,
     extract_policy_path,
     optimal_budget_search,
-    value_iteration_oracle,
 )
 from fastchain.graph import (
     DirectedGraph,
     complete_graph,
-    has_hamiltonian_path_from,
     hypercube_graph,
     segment_graph,
 )
 from fastchain.rng import RandomStream
 
-from conftest import dijkstra_table_oracle, random_ham_digraph
+from conftest import (
+    dijkstra_table_oracle,
+    has_hamiltonian_path_from,
+    random_ham_digraph,
+    value_iteration_oracle,
+)
 
 
 def triangle():

@@ -5,19 +5,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fastchain.eigentime import (
-    NotCentered,
     SpectrumAmbiguous,
     eigentime_spectral,
-    expected_hitting_times,
-    h_matrix,
     hamiltonian_speed_value,
     hitting_kernel,
     hitting_report,
     inverse_speed,
-    kemeny_times,
-    poisson_solve,
     return_time_identities,
-    second_moment_hitting,
     simulate_hitting,
     spectral_second_identity,
     spectrum,
@@ -34,35 +28,14 @@ def h3(r):
     return 0.5 * (r * r - r)
 
 
-def test_poisson_solve_hitting_column(uniform_cycle3, pi3):
-    rhs = np.array([-1.0, -1.0, 2.0])  # indicator at 2 over pi(2), centered
-    g = poisson_solve(uniform_cycle3, pi3, rhs, anchor=2)
-    assert_allclose(g, [2.0, 1.0, 0.0], atol=1e-13)
-
-
-def test_poisson_solve_zero_and_linearity(uniform_cycle3, pi3):
-    assert_allclose(poisson_solve(uniform_cycle3, pi3, np.zeros(3), 1), 0.0)
-    r1 = np.array([-1.0, -1.0, 2.0])
-    r2 = np.array([2.0, -1.0, -1.0])
-    lhs = poisson_solve(uniform_cycle3, pi3, 2.0 * r1 - 0.5 * r2, 0)
-    rhs = (2.0 * poisson_solve(uniform_cycle3, pi3, r1, 0)
-           - 0.5 * poisson_solve(uniform_cycle3, pi3, r2, 0))
-    assert_allclose(lhs, rhs, atol=1e-12)
-
-
-def test_poisson_solve_rejects_uncentered(uniform_cycle3, pi3):
-    with pytest.raises(NotCentered):
-        poisson_solve(uniform_cycle3, pi3, np.ones(3), 0)
-
-
 def test_hitting_times_cycle(uniform_cycle3, pi3):
-    E = expected_hitting_times(uniform_cycle3, pi3)
+    E = hitting_kernel(uniform_cycle3, pi3).E
     expect = [[0, 1, 2], [2, 0, 1], [1, 2, 0]]
     assert_allclose(E, expect, atol=1e-13)
 
 
 def test_hitting_times_random_walk(random_walk3, pi3):
-    E = expected_hitting_times(random_walk3, pi3)
+    E = hitting_kernel(random_walk3, pi3).E
     assert_allclose(E, 2.0 * (1 - np.eye(3)), atol=1e-13)
 
 
@@ -101,7 +74,7 @@ def test_eigentime_spectral_examples(uniform_cycle3, random_walk3):
 
 
 def test_second_moment_cycle(uniform_cycle3, pi3):
-    M2 = second_moment_hitting(uniform_cycle3, pi3)
+    M2 = hitting_kernel(uniform_cycle3, pi3).second_moments
     rho = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]], dtype=float)
     assert_allclose(M2, rho ** 2 + rho, atol=1e-12)  # sums of unit exponentials
 
@@ -109,12 +82,12 @@ def test_second_moment_cycle(uniform_cycle3, pi3):
 def test_second_moment_random_walk(random_walk3, pi3):
     # frozen from the jump-chain decomposition: tau is a Geometric(1/2) sum of
     # unit exponentials, so E tau^2 = Var + (E tau)^2 = 4 + 4
-    M2 = second_moment_hitting(random_walk3, pi3)
+    M2 = hitting_kernel(random_walk3, pi3).second_moments
     assert_allclose(M2, 8.0 * (1 - np.eye(3)), atol=1e-12)
 
 
 def test_h_matrix_cycle_formula(uniform_cycle3, pi3):
-    H = h_matrix(uniform_cycle3, pi3)
+    H = hitting_kernel(uniform_cycle3, pi3).h
     rho = np.array([[0, 1, 2], [2, 0, 1], [1, 2, 0]], dtype=float)
     assert_allclose(H, h3(rho.T), atol=1e-12)
     assert H[0, 1] == pytest.approx(1.0)  # forward distance from 1 back to 0 is 2
@@ -150,10 +123,10 @@ def test_random_suite_identities():
         assert abs(f - eigentime_spectral(L)) <= 1e-8
         lhs, rhs = spectral_second_identity(L, pi)
         assert abs(lhs - rhs) <= 1e-8
-        kem = kemeny_times(L, pi)
+        kem = hitting_kernel(L, pi).kemeny
         assert kem.max() - kem.min() <= 1e-9
         H_ref = anchored_moments(L.rates, pi.weights)[2]
-        assert np.abs(h_matrix(L, pi) - H_ref).max() <= 1e-8
+        assert np.abs(hitting_kernel(L, pi).h - H_ref).max() <= 1e-8
 
 
 def random_cycle_mixture(n: int, seed: int):
@@ -225,7 +198,7 @@ def test_return_time_kac_correction():
         pi = random_pi(s, n)
         L, _, _ = random_member(complete_graph(n), pi, s)
         spectral = eigentime_spectral(L)
-        kem = kemeny_times(L, pi)
+        kem = hitting_kernel(L, pi).kemeny
         assert abs(kem[0] - spectral) <= 1e-9
         for y in range(n):
             r = return_time_identities(L, pi, y)

@@ -12,7 +12,6 @@ from fastchain.generator import (
     ProbabilityVector,
     ZeroGenerator,
     _require_irreducible,
-    _support_strongly_connected,
     combine,
     cycle_generator,
     decompose_into_cycles,
@@ -21,10 +20,10 @@ from fastchain.generator import (
     normalize,
     support_graph,
 )
-from fastchain.graph import Cycle, DirectedGraph, complete_graph, is_strongly_connected, segment_graph
+from fastchain.graph import Cycle, DirectedGraph, _support_strongly_connected, complete_graph, segment_graph
 from fastchain.rng import RandomStream
 
-from conftest import random_member, random_pi
+from conftest import random_member, random_pi, strongly_connected_by_search
 
 
 def test_probability_vector_validation():
@@ -104,7 +103,7 @@ def test_irreducibility_agrees_with_graph_search(n, density, seed):
     np.fill_diagonal(rates, 0.0)
     np.fill_diagonal(rates, -rates.sum(axis=1))
     L = Generator(rates)
-    expect = is_strongly_connected(support_graph(L))
+    expect = strongly_connected_by_search(support_graph(L))
     assert _support_strongly_connected(L.rates) == expect
     if expect:
         _require_irreducible(L)

@@ -1,13 +1,10 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fastchain.graph import (
     Cycle,
     CycleBudgetExceeded,
     DirectedGraph,
     complete_graph,
-    cyclic_distance,
     enumerate_hamiltonian_cycles,
     enumerate_simple_cycles,
     gray_code_cycle,
@@ -38,6 +35,11 @@ def test_strong_connectivity():
     assert is_strongly_connected(DirectedGraph(3, [(0, 1), (1, 2), (2, 0)]))
     assert not is_strongly_connected(DirectedGraph(3, [(0, 1), (1, 2)]))
     assert is_strongly_connected(segment_graph(2))
+    # directed n-cycles have diameter n - 1, the longest any closure must span
+    for n in range(1, 20):
+        ring = [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
+        assert is_strongly_connected(DirectedGraph(n, ring))
+        assert not is_strongly_connected(DirectedGraph(n + 1, ring[:-1] + [(n - 1, n)]))
 
 
 def test_enumerate_simple_cycles_s2(s2):
@@ -96,28 +98,6 @@ def test_hypercube_and_gray():
         hypercube_graph(0)
     with pytest.raises(ValueError):
         gray_code_cycle(17)
-
-
-def test_cyclic_distance_examples():
-    c = Cycle([0, 1, 2])
-    assert cyclic_distance(c, 0, 0) == 0
-    assert cyclic_distance(c, 0, 2) == 2
-    assert cyclic_distance(c, 2, 0) == 1
-    with pytest.raises(ValueError):
-        cyclic_distance(c, 0, 5)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.lists(st.integers(0, 30), min_size=2, max_size=10, unique=True),
-       st.data())
-def test_cyclic_distance_splits_length(verts, data):
-    c = Cycle(verts)
-    x = data.draw(st.sampled_from(verts))
-    y = data.draw(st.sampled_from(verts))
-    if x == y:
-        assert cyclic_distance(c, x, y) == 0
-    else:
-        assert cyclic_distance(c, x, y) + cyclic_distance(c, y, x) == len(c)
 
 
 def test_every_cycle_arc_is_an_edge():

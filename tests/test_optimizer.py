@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fastchain.eigentime import inverse_speed
-from fastchain.generator import ProbabilityVector, _support_strongly_connected, cycle_generator
-from fastchain.graph import Cycle, DirectedGraph, complete_graph, segment_graph
+from fastchain.generator import ProbabilityVector, cycle_generator
+from fastchain.graph import Cycle, DirectedGraph, _support_strongly_connected, complete_graph, segment_graph
 from fastchain.optimizer import (
     CyclePolytope,
     TooManyCycles,
@@ -143,7 +143,7 @@ def test_f_wedge_examples(pi3, s2):
 def test_polytope_fast_path_matches_anchored_solves(pi3):
     """The optimizer's fundamental-matrix route agrees with the public
     anchored-solve operations for F and the per-cycle H values."""
-    from fastchain.derivatives import h_cycle
+    from fastchain.eigentime import hitting_kernel
     from fastchain.generator import Generator
     from fastchain.optimizer import CyclePolytope
 
@@ -159,7 +159,7 @@ def test_polytope_fast_path_matches_anchored_solves(pi3):
         assert abs(f - f_reference(poly.rates(w), poly.pi)) <= 1e-10
         member = Generator(poly.rates(w))
         for k in (0, 3, 7):
-            assert abs(hvals[k] - h_cycle(member, poly.pi, poly.cycles[k])) <= 1e-9
+            assert abs(hvals[k] - hitting_kernel(member, poly.pi).h_cycle(poly.cycles[k])) <= 1e-9
 
 
 def test_f_wedge_empirical_continuity(pi3):
