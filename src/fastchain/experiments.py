@@ -211,8 +211,11 @@ def find_counterexample(g: DirectedGraph, r_grid=None, eps_grid=None) -> Counter
     For each candidate, L = (L_r + eps L_g) / Z with Z fixing the unit
     equilibrium jump rate under the candidate's own invariant measure; the
     certificate is F(L) < F(L_H) for every admissible Hamiltonian cycle H,
-    with the Hamiltonian values taken at the same perturbed measure (they
-    coincide across H, which the report keeps visible).
+    with the Hamiltonian values taken at the same perturbed measure.  The
+    search compares against their common closed form; at the certified point
+    each F(L_H) is computed from its own generator, and the report's values
+    and margin are those: their spread is a measured agreement, not 0 by
+    construction.
 
     Raises
     ------
@@ -239,9 +242,8 @@ def find_counterexample(g: DirectedGraph, r_grid=None, eps_grid=None) -> Counter
             z = float(pi.weights @ mixed.exit_rates())
             L = Generator(mixed.rates / z)
             f_pert = inverse_speed(L, pi)
-            ham_vals = tuple(hamiltonian_speed_value(pi) for _ in hams)
-            margin = min(ham_vals) - f_pert
-            if margin > 0:
+            if hamiltonian_speed_value(pi) > f_pert:
+                ham_vals = tuple(inverse_speed(cycle_generator(pi, h), pi) for h in hams)
                 mult, _ = spectrum_split(L_r, short_cycle, r)
                 return CounterexampleReport(
                     graph=g,
@@ -251,7 +253,7 @@ def find_counterexample(g: DirectedGraph, r_grid=None, eps_grid=None) -> Counter
                     pi_r_eps=pi,
                     f_perturbed=f_pert,
                     hamiltonian_values=ham_vals,
-                    margin=float(margin),
+                    margin=min(ham_vals) - f_pert,
                     r_multiplicity=mult,
                 )
     raise SearchExhausted("no (r, eps) grid point beat the Hamiltonian values")

@@ -6,17 +6,19 @@ loop exploits the exact derivative formula D_A F(L) = F(L) - H_A(L): the
 weight average of H_A over the support equals F, so max_A H_A(L) - F(L) is
 a nonnegative stationarity gap that vanishes exactly at minimizers, and the
 cycle attaining the max is the steepest feasible descent vertex.  Steps are
-chosen by exact line search (presampled golden section), either toward the
-best vertex or pairwise from the worst supported vertex to the best, which
-lets iterates reach vertices and drop weights exactly.
+chosen by exact line search, either toward the best vertex or pairwise from
+the worst supported vertex to the best, which lets iterates reach vertices
+and drop weights exactly.
 
-Each line search costs about 75 evaluations of F, so an evaluation is kept
-to one product for the rates, one irreducibility verdict memoized per rate
-support, and one inverse of Pi - L with Pi built once per polytope.  The 33
-presamples of a search go through :meth:`CyclePolytope.f_values` as one
-stacked inverse; the golden-section points call ``f_value`` one by one.
-Both give the same bits as the plain per-point route, so the path of the
-iteration, and every report, does not depend on these shortcuts.
+A line search brackets the minimum with 33 presamples of F, evaluated by
+:meth:`CyclePolytope.f_values` as one stacked inverse, and then bisects on
+the sign of the exact slope (:meth:`CyclePolytope.slope`), about 30 single
+inverses.  Near the optimum a step gains less in F than F's rounding, while
+the slope is still resolved, so the search keeps closing the gap there.  An
+evaluation is kept to one product for the rates, one irreducibility verdict
+memoized per rate support, and one inverse of Pi - L with Pi built once per
+polytope.  F values give the same bits as the plain per-point route, so the
+path of the iteration, and every report, does not depend on these shortcuts.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ __all__ = [
 ]
 
 WEIGHT_FLOOR = 1e-14
-SNAP_TOL = 1e-9
 
 
 class TooManyCycles(RuntimeError):
@@ -157,6 +158,19 @@ class CyclePolytope:
         ])
         return f, hvals
 
+    def slope(self, w: np.ndarray, d_rates: np.ndarray) -> float:
+        """Derivative of F at the mixture ``w`` along the rate matrix
+        ``d_rates``: -sum_{x,y} pi(x) D(x, y) h(x, y), +inf when the support
+        is not irreducible.  The diagonal of h is zero, so for D = L_A - L
+        this is the paper's F - H_A."""
+        rates = self.rates(w)
+        if not self._irreducible(rates):
+            return np.inf
+        p = self.pi.weights
+        Z = np.linalg.inv(self._Pi - rates)
+        h = _perturbation_kernel(Z, _hitting_times(Z, p))
+        return -float(p @ (d_rates * h).sum(axis=1))
+
     def _irreducible(self, rates: np.ndarray) -> bool:
         key = (rates > 0).tobytes()
         verdict = self._connected.get(key)
@@ -165,44 +179,43 @@ class CyclePolytope:
         return verdict
 
 
-def _line_search(poly: CyclePolytope, point, lo: float, hi: float,
-                 presamples: int = 33, tol: float = 1e-10) -> tuple:
-    """Presampled golden-section minimization of F(point(t)) on [lo, hi].
+def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
+                 hi: float, presamples: int = 33, tol: float = 1e-10) -> tuple:
+    """Exact line search of F(point(t)) on [lo, hi], on the sign of its slope.
 
-    ``point`` maps t to weights and broadcasts over a column of ts.  F is
-    analytic but not guaranteed unimodal along segments, so a dense
-    presample, evaluated in one ``f_values`` call, picks the bracket first.
-    Exact endpoint values are compared against the refined interior
-    candidate, so boundary minima are returned as exact endpoints (this is
-    what lets iterates land on vertices).
+    ``point`` maps t to weights and broadcasts over a column of ts;
+    ``direction`` is dw/dt.  F is analytic but not guaranteed unimodal along
+    segments, so a dense presample, evaluated in one ``f_values`` call, picks
+    the bracket first.  If its minimum is at an endpoint and the slope there
+    points out of the segment, that exact endpoint is returned: a step lands
+    on a vertex exactly when the slope stays negative to the end of the
+    segment.  Otherwise the presample intervals next to the minimum are
+    bisected on the sign of :meth:`CyclePolytope.slope` down to width
+    ``tol``, and F is taken at the midpoint.  The slope is resolved to about
+    eps M(L) also where differences of F are lost in F's rounding.
     """
     ts = np.linspace(lo, hi, presamples)
     vals = poly.f_values(point(ts[:, None]))
+    d_rates = poly.rates(direction)
 
-    def fun(t):
-        return poly.f_value(point(t))
+    def slope(t):
+        return poly.slope(point(t), d_rates)
 
-    k = int(np.nanargmin(np.where(np.isfinite(vals), vals, np.inf)))
-    best_t, best_v = float(ts[k]), float(vals[k])
+    k = int(np.argmin(vals))
+    if k == 0 and slope(lo) >= 0:
+        return lo, float(vals[0])
+    if k == presamples - 1 and slope(hi) <= 0:
+        return hi, float(vals[-1])
     a = float(ts[max(k - 1, 0)])
     b = float(ts[min(k + 1, presamples - 1)])
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
     while b - a > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
+        mid = 0.5 * (a + b)
+        if slope(mid) > 0:
+            b = mid
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    for t, v in ((c, fc), (d, fd)):
-        if v < best_v:
-            best_t, best_v = float(t), float(v)
-    return best_t, best_v
+            a = mid
+    t = 0.5 * (a + b)
+    return t, poly.f_value(point(t))
 
 
 def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
@@ -214,8 +227,13 @@ def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
     Starts from uniform weights over all enumerated cycles (always
     irreducible on a strongly connected graph) plus ``extra_starts`` random
     simplex points with deterministic seeds, and returns the best run.
-    Convergence is declared when max_A H_A(L) - F(L) <= tol; the returned
-    report carries the full per-cycle certificate either way.
+    Each iteration line-searches toward the best vertex and pairwise from
+    the worst supported vertex to it, and takes the step with the lower F.
+    A run stops when max_A H_A(L) - F(L) <= tol (converged), when neither
+    step moves (the slope at t = 0 is nonnegative on both segments), or after
+    ``max_iters`` iterations; the returned report carries the full per-cycle
+    certificate either way.  A step lands on a vertex exactly when the slope
+    stays negative to the end of its segment.
 
     The gap is a first-order certificate only: non-minimizing stationary
     points satisfy it too (the uniform mixture on a vertex-transitive
@@ -250,12 +268,7 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
     if hvals is None:
         raise ValueError("starting point is not irreducible")
     iterations = 0
-    converged = False
-    while iterations < max_iters:
-        gap = float(hvals.max() - f)
-        if gap <= tol:
-            converged = True
-            break
+    while iterations < max_iters and hvals.max() - f > tol:
         iterations += 1
         s = int(np.argmax(hvals))
         e_s = np.zeros(m)
@@ -264,31 +277,29 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
         def toward(t, w=w, e_s=e_s):
             return (1.0 - t) * w + t * e_s
 
-        t1, f1 = _line_search(poly, toward, 0.0, 1.0)
-        cand = [((1.0 - t1) * w + t1 * e_s, f1)]
+        t1, f1 = _line_search(poly, toward, e_s - w, 0.0, 1.0)
+        cand = [(toward(t1), f1)] if t1 > 0 else []
 
         support = np.nonzero(w > WEIGHT_FLOOR)[0]
         if len(support) > 1:
             a = int(support[np.argmin(hvals[support])])
             if a != s:
-                shift = float(w[a])
                 e_a = np.zeros(m)
                 e_a[a] = 1.0
 
                 def pairwise(t, w=w, e_s=e_s, e_a=e_a):
                     return np.maximum(w + t * (e_s - e_a), 0.0)
 
-                t2, f2 = _line_search(poly, pairwise, 0.0, shift)
-                w2 = pairwise(t2)
-                cand.append((w2 / w2.sum(), f2))
+                t2, f2 = _line_search(poly, pairwise, e_s - e_a, 0.0, float(w[a]))
+                if t2 > 0:
+                    w2 = pairwise(t2)
+                    cand.append((w2 / w2.sum(), f2))
 
-        w_new, f_new = min(cand, key=lambda c: c[1])
-        if not np.isfinite(f_new) or f_new >= f - 1e-15:
-            break  # no usable progress; gap reported as is
-        w, f = w_new, f_new
+        if not cand:
+            break  # neither step moves; gap reported as is
+        w = min(cand, key=lambda c: c[1])[0]
         f, hvals = poly.f_and_h(w)
 
-    w, f, hvals = _snap(poly, w, f, hvals)
     gap = float(hvals.max() - f)
     return OptimizeReport(
         cycles=poly.cycles,
@@ -298,25 +309,8 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
         h_values=hvals,
         gap=gap,
         iterations=iterations,
-        converged=converged or gap <= tol,
+        converged=gap <= tol,
     )
-
-
-def _snap(poly: CyclePolytope, w: np.ndarray, f: float, hvals: np.ndarray) -> tuple:
-    """Zero out sub-1e-9 weights when that keeps the mixture irreducible
-    and does not worsen F beyond rounding."""
-    small = (w > 0) & (w < SNAP_TOL)
-    if not small.any():
-        return w, f, hvals
-    w2 = np.where(small, 0.0, w)
-    total = w2.sum()
-    if total <= 0:
-        return w, f, hvals
-    w2 = w2 / total
-    f2, h2 = poly.f_and_h(w2)
-    if h2 is not None and f2 <= f + 1e-9:
-        return w2, f2, h2
-    return w, f, hvals
 
 
 def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,

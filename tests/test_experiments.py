@@ -14,8 +14,14 @@ from fastchain.experiments import (
     theorem2_probe,
     triangle_leaf_graph,
 )
-from fastchain.generator import Generator, ProbabilityVector, invariant_measure
-from fastchain.graph import Cycle, DirectedGraph, complete_graph, segment_graph
+from fastchain.generator import Generator, ProbabilityVector, cycle_generator, invariant_measure
+from fastchain.graph import (
+    Cycle,
+    DirectedGraph,
+    complete_graph,
+    enumerate_hamiltonian_cycles,
+    segment_graph,
+)
 from fastchain.optimizer import brute_force_minimize, stationarity_check
 from fastchain.graph import enumerate_simple_cycles
 
@@ -71,6 +77,21 @@ def test_find_counterexample_triangle_leaf():
     # the measure gives very small weight to the tree vertex
     assert report.pi_r_eps[3] < 0.05
     assert report.short_cycle.vertices == (0, 1, 2)
+
+
+def test_find_counterexample_reports_each_hamiltonian_f():
+    """The reported values are F of each Hamiltonian generator at the
+    certified measure, not the closed form repeated once per cycle, so their
+    spread is a check that can fail."""
+    g = complete_graph(4)
+    report = find_counterexample(g)
+    assert (report.r, report.eps) == (10.0, 0.1)
+    hams = enumerate_hamiltonian_cycles(g)
+    assert len(hams) == 6
+    pi = report.pi_r_eps
+    assert list(report.hamiltonian_values) == [
+        inverse_speed(cycle_generator(pi, h), pi) for h in hams]
+    assert report.margin == min(report.hamiltonian_values) - report.f_perturbed
 
 
 def test_find_counterexample_convergence_to_reducible_value():

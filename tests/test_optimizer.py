@@ -54,6 +54,46 @@ def test_iterates_monotone_certificate(s2):
     assert report.weights.min() >= 0 and abs(report.weights.sum() - 1) <= 1e-12
 
 
+@pytest.mark.parametrize("segments", [2, 3])
+def test_frank_wolfe_converges_on_segment_graphs(segments):
+    """Near the optimum a step gains about 1e-16 in F, below its rounding; a
+    line search that compares F values stalls there with gaps up to 6e-8.
+    The search on the sign of the exact slope closes the gap at the default
+    tol from every seed."""
+    g = segment_graph(segments)
+    pi = ProbabilityVector.uniform(g.n)
+    poly = CyclePolytope(g, pi)
+    for seed in range(60):
+        report = frank_wolfe_minimize(g, pi, seed=seed, polytope=poly)
+        assert report.converged and report.gap <= 1e-8, seed
+
+
+def test_frank_wolfe_converges_on_k5_skewed_pi():
+    pi = ProbabilityVector(np.arange(1, 6) / 15.0)
+    report = frank_wolfe_minimize(complete_graph(5), pi, seed=0)
+    assert report.converged and report.gap <= 1e-8
+    assert abs(inverse_speed(report.minimizer, pi) - report.f_min) <= 1e-12
+
+
+def test_slope_is_the_closed_form_derivative():
+    """CyclePolytope.slope along L_A - L is F - H_A, along L_A - L_B it is
+    H_B - H_A, and both match central differences of F."""
+    stream = RandomStream(403)
+    poly = CyclePolytope(complete_graph(4), random_pi(stream, 4))
+    w = stream.spawn(0).simplex(poly.m)
+    f, hvals = poly.f_and_h(w)
+    eye = np.eye(poly.m)
+    for s, a in ((0, 5), (3, 1), (7, 2)):
+        for d, closed in ((eye[s] - w, f - hvals[s]), (eye[s] - eye[a], hvals[a] - hvals[s])):
+            slope = poly.slope(w, poly.rates(d))
+            assert abs(slope - closed) <= 1e-12
+            step = 1e-6
+            diff = (poly.f_value(w + step * d) - poly.f_value(w - step * d)) / (2 * step)
+            assert abs(slope - diff) <= 1e-7
+    e_0 = eye[0]
+    assert poly.slope(e_0, poly.rates(e_0)) == np.inf  # a 2-cycle alone is reducible
+
+
 def test_brute_force_s2(pi3, s2):
     report = brute_force_minimize(s2, pi3, 1000)
     assert abs(report.f_min - 16.0 / 9.0) <= 1e-4
