@@ -64,44 +64,20 @@ class InputError(ValueError):
     pass
 
 
-def _load_json(path: str):
+def _load(path: str | None, parse, kind: str):
+    """Read the JSON file at ``path`` and build the input from it with
+    ``parse``; any failure, a missing path included, is an InputError."""
+    if path is None:
+        raise InputError(f"no {kind} file given")
     try:
         with open(path) as fh:
-            return json.load(fh)
+            obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_graph(path: str) -> DirectedGraph:
-    obj = _load_json(path)
     try:
-        return DirectedGraph.from_json(obj)
+        return parse(obj)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad graph file {path}: {exc}") from exc
-
-
-def _load_pi(path: str) -> ProbabilityVector:
-    obj = _load_json(path)
-    try:
-        return ProbabilityVector(np.asarray(obj, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"bad probability file {path}: {exc}") from exc
-
-
-def _load_generator(path: str) -> Generator:
-    obj = _load_json(path)
-    try:
-        return Generator.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad generator file {path}: {exc}") from exc
-
-
-def _load_kernel(path: str) -> Kernel:
-    obj = _load_json(path)
-    try:
-        return Kernel.from_json(obj)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad kernel file {path}: {exc}") from exc
+        raise InputError(f"bad {kind} file {path}: {exc}") from exc
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -114,8 +90,8 @@ def _emit(doc: dict, out: str | None) -> None:
 
 
 def _cmd_eval(args) -> int:
-    L = _load_generator(args.generator)
-    pi = _load_pi(args.pi) if args.pi else invariant_measure(L)
+    L = _load(args.generator, Generator.from_json, "generator")
+    pi = _load(args.pi, ProbabilityVector, "probability") if args.pi else invariant_measure(L)
     kern = hitting_kernel(L, pi)
     spec = spectrum(L)
     doc = {
@@ -150,8 +126,8 @@ def _cycles_below(L: Generator) -> list:
 
 
 def _cmd_optimize(args) -> int:
-    g = _load_graph(args.graph)
-    pi = _load_pi(args.pi)
+    g = _load(args.graph, DirectedGraph.from_json, "graph")
+    pi = _load(args.pi, ProbabilityVector, "probability")
     report = frank_wolfe_minimize(g, pi, tol=args.tol, max_iters=args.max_iters,
                                   seed=args.seed, extra_starts=args.starts)
     station = stationarity_check(report.minimizer, pi, report.cycles)
@@ -165,7 +141,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_dp(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, DirectedGraph.from_json, "graph")
     if not 0 <= args.start < g.n:
         raise InputError(f"start {args.start} out of range")
     checks = {}
@@ -176,7 +152,8 @@ def _cmd_dp(args) -> int:
         checks["continuous_matches_discrete_at_unit_budgets"] = abs(
             table.start_value(args.start) - discrete_value_function(g).start_value(args.start))
     else:
-        table = continuous_value_function(g, np.asarray(_load_json(args.budgets), dtype=float))
+        budgets = _load(args.budgets, lambda obj: np.asarray(obj, dtype=float), "budget")
+        table = continuous_value_function(g, budgets)
     bound = g.n * (g.n - 1) / 2
     checks["value_minus_hamiltonian_bound"] = float(
         table.start_value(args.start) - bound)
@@ -194,8 +171,8 @@ def _cmd_dp(args) -> int:
 
 def _cmd_discrete(args) -> int:
     if args.compare:
-        g = _load_graph(args.graph)
-        pi = _load_pi(args.pi)
+        g = _load(args.graph, DirectedGraph.from_json, "graph")
+        pi = _load(args.pi, ProbabilityVector, "probability")
         comp = compare_wedges(g, pi, seed=args.seed)
         doc = comp.to_json()
         doc["checks"] = {"wedge_gap_nonnegative": comp.gap}
@@ -203,8 +180,8 @@ def _cmd_discrete(args) -> int:
         return 0
     if not args.kernel:
         raise InputError("discrete needs --kernel (or --compare with --graph)")
-    K = _load_kernel(args.kernel)
-    pi = _load_pi(args.pi)
+    K = _load(args.kernel, Kernel.from_json, "kernel")
+    pi = _load(args.pi, ProbabilityVector, "probability")
     value = frak_f(K, pi)
     trace = hunter_trace(K, pi)
     spectral = discrete_eigentime_spectral(K)
@@ -228,7 +205,7 @@ def _cmd_discrete(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
-    g = _load_graph(args.graph) if args.graph else triangle_leaf_graph()
+    g = _load(args.graph, DirectedGraph.from_json, "graph") if args.graph else triangle_leaf_graph()
     report = find_counterexample(g)
     doc = report.to_json()
     doc["checks"] = {
@@ -241,7 +218,7 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_s2(args) -> int:
-    pi = _load_pi(args.pi)
+    pi = _load(args.pi, ProbabilityVector, "probability")
     report = s2_closed_form(pi)
     station = stationarity_check(report.generator, pi,
                                  [Cycle([0, 1]), Cycle([1, 2])])
@@ -255,7 +232,7 @@ def _cmd_s2(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    g = _load_graph(args.graph)
+    g = _load(args.graph, DirectedGraph.from_json, "graph")
     report = theorem2_probe(g, args.size, args.trials, args.seed)
     doc = report.to_json()
     doc["checks"] = {"worst_vertex_distance": report.worst_distance}
@@ -391,9 +368,6 @@ def main(argv=None) -> int:
     except SearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -53,7 +53,7 @@ class DirectionInvalid(ValueError):
     """Direction is not a normalized pi-invariant generator within tolerance."""
 
 
-def _as_direction(direction, pi: ProbabilityVector, tol: float = 1e-9) -> Generator:
+def _as_direction(direction, pi: ProbabilityVector) -> Generator:
     """Coerce a Cycle / Generator / CycleDecomposition into a validated generator."""
     if isinstance(direction, Cycle):
         return cycle_generator(pi, direction)
@@ -64,10 +64,10 @@ def _as_direction(direction, pi: ProbabilityVector, tol: float = 1e-9) -> Genera
     if direction.n != pi.n:
         raise DirectionInvalid("dimension mismatch")
     resid = float(np.abs(pi.weights @ direction.rates).max())
-    if resid > tol:
+    if resid > 1e-9:
         raise DirectionInvalid(f"direction is not pi-invariant, residual {resid!r}")
     c = equilibrium_rate(direction, pi)
-    if abs(c - 1.0) > tol:
+    if abs(c - 1.0) > 1e-9:
         raise DirectionInvalid(f"direction is not normalized, rate {c!r}")
     return direction
 

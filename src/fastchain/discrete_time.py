@@ -221,13 +221,13 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> We
     )
 
 
-def _pattern_search(fun, m: int, seed: int = 0, rounds: int = 2,
-                    warm_starts=()) -> tuple:
-    """Deterministic multi-start pairwise-transfer descent on the simplex."""
+def _pattern_search(fun, m: int, seed: int = 0, warm_starts=()) -> tuple:
+    """Deterministic multi-start pairwise-transfer descent on the simplex,
+    from the warm starts, the uniform point and two random points."""
     stream = RandomStream(seed)
     starts = [np.asarray(w, dtype=float) for w in warm_starts]
     starts.append(np.full(m, 1.0 / m))
-    for k in range(rounds):
+    for k in range(2):
         w = stream.spawn(k).simplex(m)
         starts.append(0.8 * w + 0.2 / m)
     best_w, best_v = None, np.inf

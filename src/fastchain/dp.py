@@ -297,11 +297,7 @@ def optimal_budget_search(g: DirectedGraph, grid: int = 12,
 
     best_a, best_v = None, np.inf
     for comp in itertools.combinations(range(grid - 1), n - 1):
-        cuts = [-1, *comp, grid - 1]
-        parts = np.array([cuts[k + 1] - cuts[k] for k in range(n)], dtype=float)
-        if np.any(parts <= 0):
-            continue
-        a = parts * (n / grid)
+        a = np.diff([-1, *comp, grid - 1]) * (n / grid)
         v = objective(a)
         if v < best_v:
             best_v, best_a = v, a

@@ -95,15 +95,12 @@ class HittingReport:
         }
 
 
-def _fundamental(rates: np.ndarray, p: np.ndarray) -> tuple:
-    """(Z, E): Z = (Pi - L)^{-1} and E[x, y] = (Z[y, y] - Z[x, y]) / pi(y)."""
-    Z = np.linalg.inv(np.tile(p, (len(p), 1)) - rates)
-    return Z, _hitting_times(Z, p)
-
-
-def _hitting_times(Z: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """E from Z, for one fundamental matrix or a stack of them."""
-    return (Z.diagonal(axis1=-2, axis2=-1)[..., None, :] - Z) / p
+def _fundamental(A: np.ndarray, p: np.ndarray) -> tuple:
+    """(Z, E) of A = Pi - L, one matrix or a stack of them: Z = A^{-1} and
+    E[x, y] = (Z[y, y] - Z[x, y]) / pi(y).  The one inverse behind every
+    hitting-time functional, in the kernel and in the cycle polytope."""
+    Z = np.linalg.inv(A)
+    return Z, (Z.diagonal(axis1=-2, axis2=-1)[..., None, :] - Z) / p
 
 
 def _perturbation_kernel(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -113,6 +110,38 @@ def _perturbation_kernel(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
     off the diagonal and keeps the -0.0 diagonal that reports print."""
     W = Z @ E
     return -(np.diag(W)[None, :] - W).T
+
+
+class _CycleArcs:
+    """The arcs of a list of cycles, grouped by cycle length once, for
+    averaging a matrix over each cycle's arcs (H_A for the matrix h).
+
+    Each group holds the positions of its k cycles in the list and two
+    (k, length) index arrays of arc tails and heads, so one gather and one
+    row-wise mean serve all cycles of a length.  A row mean sums in the
+    same order as the cycle's own ``mean()`` (pairwise from 8 terms on), so
+    the values are bit-equal to the per-cycle route; ``np.add.reduceat``
+    over the concatenated arcs rounds differently and is not.
+    """
+
+    def __init__(self, cycles):
+        by_length = {}
+        for k, c in enumerate(cycles):
+            by_length.setdefault(len(c), []).append((k, c.vertices))
+        self.m = sum(len(group) for group in by_length.values())
+        self.groups = [
+            (np.array([k for k, _ in group]),
+             np.array([v for _, v in group]),
+             np.array([v[1:] + v[:1] for _, v in group]))
+            for group in by_length.values()
+        ]
+
+    def means(self, M: np.ndarray) -> np.ndarray:
+        """For each cycle, the mean of M over its arcs."""
+        out = np.empty(self.m)
+        for pos, tails, heads in self.groups:
+            out[pos] = M[tails, heads].mean(axis=1)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,8 +169,7 @@ class HittingKernel:
 
     def h_cycle(self, cycle: Cycle) -> float:
         """H_A: the average of h over the arcs of the cycle."""
-        v = np.asarray(cycle.vertices)
-        return float(self.h[v, np.roll(v, -1)].mean())
+        return float(_CycleArcs([cycle]).means(self.h)[0])
 
     def report(self) -> HittingReport:
         return HittingReport(
@@ -168,7 +196,7 @@ def hitting_kernel(L: Generator, pi: ProbabilityVector) -> HittingKernel:
     resid = float(np.abs(p @ L.rates).max())
     if resid > 1e-9:
         raise NotInvariant(f"pi L residual {resid!r}")
-    Z, E = _fundamental(L.rates, p)
+    Z, E = _fundamental(np.tile(p, (len(p), 1)) - L.rates, p)
     h = _perturbation_kernel(Z, E)
     return HittingKernel(
         pi=pi,

@@ -120,19 +120,18 @@ def build_cycle_tree_generator(g: DirectedGraph, short_cycle: Cycle,
 extended_f = eigentime_spectral
 
 
-def spectrum_split(L_r: Generator, short_cycle: Cycle, r: float,
-                   tol: float = 1e-6) -> tuple:
+def spectrum_split(L_r: Generator, short_cycle: Cycle, r: float) -> tuple:
     """Check the eigenvalue split of a cycle-plus-trees generator.
 
     Returns (multiplicity, max_pairing_error): the number of eigenvalues of
-    -L_r within ``tol`` of r, and the worst match distance when pairing the
-    remaining nonzero eigenvalues against the pure cycle spectrum
-    1 - exp(2 pi i k / n).
+    -L_r within 1e-6 max(1, |r|) of r, and the worst match distance when
+    pairing the remaining nonzero eigenvalues against the pure cycle
+    spectrum 1 - exp(2 pi i k / n).
     """
     vals = spectrum(L_r).values
-    scale = max(1.0, abs(r))
-    near_r = [z for z in vals if abs(z - r) <= tol * scale]
-    others = [z for z in vals if abs(z - r) > tol * scale]
+    tol = 1e-6 * max(1.0, abs(r))
+    near_r = [z for z in vals if abs(z - r) <= tol]
+    others = [z for z in vals if abs(z - r) > tol]
     m = len(short_cycle)
     expected = [1.0 - np.exp(2j * np.pi * k / m) for k in range(1, m)]
     worst = 0.0
@@ -345,7 +344,7 @@ def sample_near_uniform(n: int, l1_size: float, stream: RandomStream) -> Probabi
 
 
 def theorem2_probe(g: DirectedGraph, perturbation_size: float, trials: int,
-                   seed: int, tol: float = 1e-8) -> Theorem2ProbeReport:
+                   seed: int) -> Theorem2ProbeReport:
     """How often the minimizer stays a pure Hamiltonian-cycle generator
     when the measure is jiggled around uniform.
 
@@ -364,7 +363,7 @@ def theorem2_probe(g: DirectedGraph, perturbation_size: float, trials: int,
     worst = 0.0
     for t in range(trials):
         pi = sample_near_uniform(g.n, perturbation_size, stream.spawn(t))
-        report = frank_wolfe_minimize(g, pi, tol=tol, seed=seed + t, extra_starts=2)
+        report = frank_wolfe_minimize(g, pi, seed=seed + t, extra_starts=2)
         dists = [float(np.abs(report.minimizer.rates
                               - cycle_generator(pi, h).rates).max()) for h in hams]
         d = min(dists)

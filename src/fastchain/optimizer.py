@@ -17,8 +17,12 @@ inverses.  Near the optimum a step gains less in F than F's rounding, while
 the slope is still resolved, so the search keeps closing the gap there.  An
 evaluation is kept to one product for the rates, one irreducibility verdict
 memoized per rate support, and one inverse of Pi - L with Pi built once per
-polytope.  F values give the same bits as the plain per-point route, so the
-path of the iteration, and every report, does not depend on these shortcuts.
+polytope.  That inverse, E and h come from the same helpers as
+:func:`~fastchain.eigentime.hitting_kernel`, and the H_A vector from the
+same length-grouped gather as ``HittingKernel.h_cycle``.  F values give the
+same bits as the plain per-point route, and H_A the same bits as each
+cycle's own mean, so the path of the iteration, and every report, does not
+depend on these shortcuts.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from math import comb, log
 
 import numpy as np
 
-from .eigentime import _hitting_times, _perturbation_kernel, hitting_kernel
+from .eigentime import _CycleArcs, _fundamental, _perturbation_kernel, hitting_kernel
 from .generator import Generator, ProbabilityVector, cycle_generator
 from .graph import DirectedGraph, _support_strongly_connected, enumerate_simple_cycles
 from .rng import RandomStream
@@ -48,6 +52,8 @@ __all__ = [
 ]
 
 WEIGHT_FLOOR = 1e-14
+PRESAMPLES = 33  # F is not unimodal on a segment; the presample picks the bracket
+BISECT_TOL = 1e-10
 
 
 class TooManyCycles(RuntimeError):
@@ -91,6 +97,10 @@ class CyclePolytope:
     rate matrix rather than of the weights: the two agree except where a
     positive weight is so small that w * rate rounds to 0 on some arc, and
     there the rates are the ones that are right.
+
+    F, h and the H_A vector of an irreducible mixture come from one inverse
+    of Pi - L (``eigentime._fundamental``); the cycles are grouped by length
+    once, here, so H_A is one gather and one row-wise mean per length.
     """
 
     def __init__(self, g: DirectedGraph, pi: ProbabilityVector):
@@ -100,12 +110,10 @@ class CyclePolytope:
         self.pi = pi
         self.cycles = tuple(enumerate_simple_cycles(g))
         n = pi.n
-        self._mats = np.stack([cycle_generator(pi, c).rates for c in self.cycles])
-        self._flat = self._mats.reshape(self.m, n * n)
+        self._flat = np.stack([cycle_generator(pi, c).rates.ravel() for c in self.cycles])
         self._Pi = np.tile(pi.weights, (n, 1))
         self._connected = {}
-        self._arc_rows = [np.array([a for a, _ in c.arcs()]) for c in self.cycles]
-        self._arc_cols = [np.array([b for _, b in c.arcs()]) for c in self.cycles]
+        self._arcs = _CycleArcs(self.cycles)
 
     @property
     def m(self) -> int:
@@ -119,57 +127,52 @@ class CyclePolytope:
         return self._irreducible(self.rates(w))
 
     def f_value(self, w: np.ndarray) -> float:
-        """F of the mixture, +inf when the support is not irreducible."""
-        rates = self.rates(w)
-        if not self._irreducible(rates):
-            return np.inf
-        p = self.pi.weights
-        E = _hitting_times(np.linalg.inv(self._Pi - rates), p)
-        return float(p @ E @ p)
+        """F of the mixture, +inf when the support is not irreducible: the
+        one-row case of :meth:`f_values`."""
+        return float(self.f_values([w])[0])
 
     def f_values(self, ws: np.ndarray) -> np.ndarray:
-        """``f_value`` of every row of ``ws``, bit for bit, with one stacked
-        inverse over the irreducible rows (reducible rows, which would be
-        singular, get +inf without entering the stack).  The rates stay one
-        product per row: a single product over the stacked rows rounds
-        differently."""
+        """F of every row of ``ws``, with one stacked inverse over the
+        irreducible rows (reducible rows, which would be singular, get +inf
+        without entering the stack).  Each row gives the same bits as it
+        would alone.  The rates stay one product per row: a single product
+        over the stacked rows rounds differently."""
         rates = [self.rates(w) for w in ws]
         keep = [k for k, r in enumerate(rates) if self._irreducible(r)]
         out = np.full(len(rates), np.inf)
         if keep:
             p = self.pi.weights
-            E = _hitting_times(np.linalg.inv(self._Pi - np.stack([rates[k] for k in keep])), p)
+            _, E = _fundamental(self._Pi - np.array([rates[k] for k in keep]), p)
             for k, E_k in zip(keep, E):
                 out[k] = float(p @ E_k @ p)
         return out
 
     def f_and_h(self, w: np.ndarray) -> tuple:
         """F together with the vector of H_A over all enumerated cycles."""
-        rates = self.rates(w)
-        if not self._irreducible(rates):
+        kernel = self._kernel(w)
+        if kernel is None:
             return np.inf, None
+        E, h = kernel
         p = self.pi.weights
-        Z = np.linalg.inv(self._Pi - rates)
-        E = _hitting_times(Z, p)
-        H = _perturbation_kernel(Z, E)
-        f = float(p @ E @ p)
-        hvals = np.array([
-            H[self._arc_rows[k], self._arc_cols[k]].mean() for k in range(self.m)
-        ])
-        return f, hvals
+        return float(p @ E @ p), self._arcs.means(h)
 
     def slope(self, w: np.ndarray, d_rates: np.ndarray) -> float:
         """Derivative of F at the mixture ``w`` along the rate matrix
         ``d_rates``: -sum_{x,y} pi(x) D(x, y) h(x, y), +inf when the support
         is not irreducible.  The diagonal of h is zero, so for D = L_A - L
         this is the paper's F - H_A."""
+        kernel = self._kernel(w)
+        if kernel is None:
+            return np.inf
+        return -float(self.pi.weights @ (d_rates * kernel[1]).sum(axis=1))
+
+    def _kernel(self, w: np.ndarray):
+        """(E, h) of the mixture, or None when its support is not irreducible."""
         rates = self.rates(w)
         if not self._irreducible(rates):
-            return np.inf
-        p = self.pi.weights
-        Z = np.linalg.inv(self._Pi - rates)
-        h = _perturbation_kernel(Z, _hitting_times(Z, p))
-        return -float(p @ (d_rates * h).sum(axis=1))
+            return None
+        Z, E = _fundamental(self._Pi - rates, self.pi.weights)
+        return E, _perturbation_kernel(Z, E)
 
     def _irreducible(self, rates: np.ndarray) -> bool:
         key = (rates > 0).tobytes()
@@ -180,7 +183,7 @@ class CyclePolytope:
 
 
 def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
-                 hi: float, presamples: int = 33, tol: float = 1e-10) -> tuple:
+                 hi: float) -> tuple:
     """Exact line search of F(point(t)) on [lo, hi], on the sign of its slope.
 
     ``point`` maps t to weights and broadcasts over a column of ts;
@@ -191,10 +194,10 @@ def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
     on a vertex exactly when the slope stays negative to the end of the
     segment.  Otherwise the presample intervals next to the minimum are
     bisected on the sign of :meth:`CyclePolytope.slope` down to width
-    ``tol``, and F is taken at the midpoint.  The slope is resolved to about
-    eps M(L) also where differences of F are lost in F's rounding.
+    ``BISECT_TOL``, and F is taken at the midpoint.  The slope is resolved
+    to about eps M(L) also where differences of F are lost in F's rounding.
     """
-    ts = np.linspace(lo, hi, presamples)
+    ts = np.linspace(lo, hi, PRESAMPLES)
     vals = poly.f_values(point(ts[:, None]))
     d_rates = poly.rates(direction)
 
@@ -204,11 +207,11 @@ def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
     k = int(np.argmin(vals))
     if k == 0 and slope(lo) >= 0:
         return lo, float(vals[0])
-    if k == presamples - 1 and slope(hi) <= 0:
+    if k == PRESAMPLES - 1 and slope(hi) <= 0:
         return hi, float(vals[-1])
     a = float(ts[max(k - 1, 0)])
-    b = float(ts[min(k + 1, presamples - 1)])
-    while b - a > tol:
+    b = float(ts[min(k + 1, PRESAMPLES - 1)])
+    while b - a > BISECT_TOL:
         mid = 0.5 * (a + b)
         if slope(mid) > 0:
             b = mid
@@ -327,20 +330,10 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
     m = poly.m
     if m > 6:
         raise TooManyCycles(f"{m} cycles; grid search supports at most 6")
-    best_w, best_f = None, np.inf
-    evals = 0
-    for comp in itertools.combinations(range(grid_resolution + m - 1), m - 1):
-        parts = []
-        prev = -1
-        for c in comp:
-            parts.append(c - prev - 1)
-            prev = c
-        parts.append(grid_resolution + m - 2 - prev)
-        w = np.array(parts, dtype=float) / grid_resolution
-        f = poly.f_value(w)
-        evals += 1
-        if f < best_f:
-            best_f, best_w = f, w
+    top = grid_resolution + m - 1
+    cuts = np.array([(-1, *c, top) for c in itertools.combinations(range(top), m - 1)])
+    grid = (np.diff(cuts) - 1) / grid_resolution
+    best_w = grid[int(np.argmin([poly.f_value(w) for w in grid]))].copy()
     f, hvals = poly.f_and_h(best_w)
     return OptimizeReport(
         cycles=poly.cycles,
@@ -349,7 +342,7 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
         f_min=f,
         h_values=hvals,
         gap=float(hvals.max() - f),
-        iterations=evals,
+        iterations=len(grid),
         converged=True,
     )
 
@@ -378,21 +371,16 @@ def stationarity_check(L: Generator, pi: ProbabilityVector, cycles) -> Stationar
     worst violation of the applicable condition over the given cycles.
     """
     kern = hitting_kernel(L, pi)
-    f = kern.f
-    hvals = []
-    below = []
-    gaps = []
-    for c in cycles:
-        h_a = kern.h_cycle(c)
-        is_below = all(L.rates[a, b] > 1e-12 for a, b in c.arcs())
-        hvals.append(h_a)
-        below.append(is_below)
-        gaps.append(abs(h_a - f) if is_below else max(0.0, h_a - f))
+    arcs = _CycleArcs(cycles)
+    hvals = arcs.means(kern.h)
+    # the indicator of positive rate has mean 1 exactly on the cycles below L
+    below = arcs.means(L.rates > 1e-12) == 1.0
+    gaps = np.where(below, np.abs(hvals - kern.f), np.maximum(hvals - kern.f, 0.0))
     return StationarityReport(
-        f=f,
-        h_values=np.array(hvals),
-        below=np.array(below, dtype=bool),
-        max_gap=float(max(gaps)) if gaps else 0.0,
+        f=kern.f,
+        h_values=hvals,
+        below=below,
+        max_gap=float(gaps.max()) if len(gaps) else 0.0,
     )
 
 
@@ -422,27 +410,23 @@ def epsilon_neighborhood(n: int, pi_min: float) -> EpsilonNeighborhood:
     return EpsilonNeighborhood(eps1=eps1, eps2=eps2, eps=min(eps1, eps2))
 
 
-def f_wedge(g: DirectedGraph, pi: ProbabilityVector, tol: float = 1e-8,
-            max_iters: int = 10_000, seed: int = 0, extra_starts: int = 8,
-            brute_resolution: int = 60) -> float:
+def f_wedge(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> float:
     """Best achievable F over the polytope: multi-start conditional gradient,
     cross-checked by the grid oracle whenever at most 6 cycles exist.
 
-    The grid resolution is capped so the scan stays around 2e4 points;
-    ``brute_resolution`` is the upper bound actually used for few cycles.
+    The grid resolution is at most 60, capped so the scan stays around 2e4
+    points.
     """
-    poly = CyclePolytope(g, pi)
-    return _wedge(poly, tol, max_iters, seed, extra_starts, brute_resolution)[0]
+    return _wedge(CyclePolytope(g, pi), seed)[0]
 
 
-def _wedge(poly: CyclePolytope, tol: float = 1e-8, max_iters: int = 10_000,
-           seed: int = 0, extra_starts: int = 8, brute_resolution: int = 60) -> tuple:
+def _wedge(poly: CyclePolytope, seed: int = 0) -> tuple:
     """(best F, conditional-gradient report) behind :func:`f_wedge`."""
-    report = frank_wolfe_minimize(poly.graph, poly.pi, tol=tol, max_iters=max_iters,
-                                  seed=seed, extra_starts=extra_starts, polytope=poly)
+    report = frank_wolfe_minimize(poly.graph, poly.pi, seed=seed, extra_starts=8,
+                                  polytope=poly)
     best = report.f_min
     if poly.m <= 6:
-        res = brute_resolution
+        res = 60
         while res > 10 and comb(res + poly.m - 1, poly.m - 1) > 20_000:
             res -= 1
         brute = brute_force_minimize(poly.graph, poly.pi, res, polytope=poly)

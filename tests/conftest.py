@@ -20,6 +20,7 @@ import heapq
 import numpy as np
 import pytest
 
+from fastchain.eigentime import hitting_kernel
 from fastchain.generator import Generator, ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, enumerate_simple_cycles, segment_graph
 from fastchain.rng import RandomStream
@@ -145,6 +146,23 @@ def f_value_oracle(poly, w: np.ndarray) -> float:
     Z = np.linalg.inv(np.tile(p, (len(p), 1)) - rates)
     E = (np.diag(Z)[None, :] - Z) / p[None, :]
     return float(p @ E @ p)
+
+
+def stationarity_oracle(L: Generator, pi: ProbabilityVector, cycles) -> tuple:
+    """(h_values, below, max_gap) of ``stationarity_check`` by a loop over the
+    cycles: each H_A is the cycle's own mean of h over its arcs, and each
+    below flag and gap is decided one cycle at a time."""
+    kern = hitting_kernel(L, pi)
+    h, f = kern.h, kern.f
+    hvals, below, gaps = [], [], []
+    for c in cycles:
+        v = np.asarray(c.vertices)
+        h_a = float(h[v, np.roll(v, -1)].mean())
+        is_below = all(L.rates[a, b] > 1e-12 for a, b in c.arcs())
+        hvals.append(h_a)
+        below.append(is_below)
+        gaps.append(abs(h_a - f) if is_below else max(0.0, h_a - f))
+    return np.array(hvals), np.array(below, dtype=bool), float(max(gaps)) if gaps else 0.0
 
 
 def random_ham_digraph(n: int, stream: RandomStream, extra: float = 0.25) -> DirectedGraph:

@@ -248,6 +248,36 @@ def test_missing_file_exits_2(capsys):
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("kind, command, obj, detail", [
+    ("graph", ["dp", "--graph"], {"n": 3}, "'edges'"),
+    ("probability", ["s2", "--pi"], [[0.5, 0.5]], "weights must be a vector"),
+    ("generator", ["eval", "--generator"], {"n": 3}, "'rates'"),
+    ("kernel", ["discrete", "--kernel"], {"n": 3, "entries": [[1]]}, "'rates'"),
+])
+def test_bad_input_file_message(tmp_path, pi3_file, capsys, kind, command, obj, detail):
+    path = write(tmp_path, "in.json", obj)
+    argv = command + [path] + (["--pi", pi3_file] if kind == "kernel" else [])
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: bad {kind} file {path}: {detail}\n")
+
+
+def test_discrete_compare_without_graph_exits_2(pi3_file, capsys):
+    """The missing --graph used to reach open(None) and end in a TypeError."""
+    code, out, err = run_cli(["discrete", "--compare", "--pi", pi3_file], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+def test_dp_budgets_file_holding_an_object_exits_2(tmp_path, capsys):
+    """The JSON object used to reach np.asarray and end in a TypeError."""
+    gpath = write(tmp_path, "k4.json", complete_graph(4).to_json())
+    bpath = write(tmp_path, "b.json", {"budgets": [1, 1, 1, 1]})
+    code, out, err = run_cli(["dp", "--graph", gpath, "--mode", "continuous",
+                              "--budgets", bpath], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_selftest_runs():
     proc = subprocess.run([sys.executable, "-m", "fastchain.cli", "--selftest"],
                           capture_output=True, text=True)

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from fastchain.eigentime import (
     SpectrumAmbiguous,
+    _CycleArcs,
     eigentime_spectral,
     hamiltonian_speed_value,
     hitting_kernel,
@@ -247,3 +248,18 @@ def test_hamiltonian_value_random():
         cyc = Cycle(s.shuffled(list(range(n))))
         L = cycle_generator(pi, cyc)
         assert abs(inverse_speed(L, pi) - hamiltonian_speed_value(pi)) <= 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.integers(1, 40), st.integers(0, 2 ** 32 - 1))
+def test_grouped_cycle_means_are_each_cycles_own_mean(n, count, seed):
+    """One gather per cycle length and a row-wise mean give each cycle's own
+    ``mean()`` over its arcs bit for bit, in the order the cycles were given.
+    Lengths reach 12, past the 8 terms from which numpy's sum goes pairwise.
+    ``np.add.reduceat`` over the concatenated arcs is not used for H_A: its
+    segment sums round differently from ``mean`` in the last bit."""
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4, (n, n))
+    cycles = [Cycle(rng.permutation(n)[:rng.integers(2, n + 1)]) for _ in range(count)]
+    want = [M[v, np.roll(v, -1)].mean() for v in map(np.asarray, (c.vertices for c in cycles))]
+    assert np.array_equal(_CycleArcs(cycles).means(M), want)

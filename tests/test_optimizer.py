@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from fastchain.eigentime import inverse_speed
-from fastchain.generator import ProbabilityVector, cycle_generator
+from fastchain.eigentime import hitting_kernel, inverse_speed
+from fastchain.generator import Generator, ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, _support_strongly_connected, complete_graph, segment_graph
 from fastchain.optimizer import (
     CyclePolytope,
@@ -18,7 +18,14 @@ from fastchain.optimizer import (
 )
 from fastchain.rng import RandomStream
 
-from conftest import closure_oracle, f_value_oracle, random_pi
+from conftest import (
+    closure_oracle,
+    f_value_oracle,
+    random_ham_digraph,
+    random_member,
+    random_pi,
+    stationarity_oracle,
+)
 
 
 def test_k3_uniform_minimizer_is_hamiltonian(pi3):
@@ -312,3 +319,40 @@ def test_irreducibility_memo_follows_underflow(tiny_first):
         assert poly.f_value(w) == f_value_oracle(poly, w)
     assert poly.f_values(np.stack(order)).tolist() == [f_value_oracle(poly, w) for w in order]
     assert poly.f_value(tiny) == np.inf and np.isfinite(poly.f_value(normal))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_polytope_h_values_are_the_kernels_h_cycle(n):
+    """f_and_h's H_A equal the kernel's h_cycle of the same mixture exactly:
+    both invert the same Pi - L once and take the same grouped mean."""
+    stream = RandomStream(500 + n)
+    poly = CyclePolytope(complete_graph(n), random_pi(stream, n))
+    for t in range(3):
+        w = 0.8 * stream.spawn(t).simplex(poly.m) + 0.2 / poly.m
+        w = w / w.sum()
+        _, hvals = poly.f_and_h(w)
+        kern = hitting_kernel(Generator(poly.rates(w)), poly.pi)
+        assert hvals.tolist() == [kern.h_cycle(c) for c in poly.cycles]
+
+
+def test_stationarity_check_is_the_per_cycle_loop():
+    """h_values, below and max_gap equal the cycle-by-cycle oracle exactly:
+    at interior mixtures, at mixtures with some cycles off the support, on
+    cycles of length up to 10, and for an empty cycle list."""
+    stream = RandomStream(510)
+    graphs = [complete_graph(4), complete_graph(5),
+              random_ham_digraph(10, stream.spawn(0), extra=0.1)]
+    for t, g in enumerate(graphs):
+        s = stream.spawn(t + 1)
+        pi = random_pi(s, g.n)
+        L, cycles, _ = random_member(g, pi, s)
+        # a Hamiltonian cycle keeps the support irreducible
+        keep = [next(c for c in cycles if len(c) == g.n), cycles[0]]
+        sparse = Generator(sum(cycle_generator(pi, c).rates for c in keep) / len(keep))
+        for M, cs in [(L, cycles), (sparse, cycles), (L, [])]:
+            station = stationarity_check(M, pi, cs)
+            hvals, below, gap = stationarity_oracle(M, pi, cs)
+            assert np.array_equal(station.h_values, hvals)
+            assert np.array_equal(station.below, below)
+            assert station.max_gap == gap
+        assert not stationarity_check(sparse, pi, cycles).below.all()
