@@ -23,10 +23,8 @@ from .derivatives import (
 from .discrete_time import (
     IdentityKernel,
     Kernel,
-    SingularMatrix,
     compare_wedges,
     discrete_eigentime_spectral,
-    discrete_hitting_times,
     frak_f,
     hunter_trace,
     to_generator,

@@ -182,8 +182,9 @@ def _cmd_discrete(args) -> int:
         raise InputError("discrete needs --kernel (or --compare with --graph)")
     K = _load(args.kernel, Kernel.from_json, "kernel")
     pi = _load(args.pi, ProbabilityVector, "probability")
-    value = frak_f(K, pi)
-    trace = hunter_trace(K, pi)
+    kern = hitting_kernel(K.clock(), pi)
+    value = kern.f
+    trace = float(np.trace(kern.Z))
     spectral = discrete_eigentime_spectral(K)
     L, k = to_generator(K, pi)
     back, _ = to_kernel(L)
@@ -194,6 +195,8 @@ def _cmd_discrete(args) -> int:
         "k": k,
         "checks": {
             "hitting_vs_spectral": abs(value - spectral),
+            # measures only the rounding of pi Z = pi in the one inverse, like
+            # eval's kemeny_spread; hitting_vs_spectral is the independent check
             "hunter_vs_frak_f": abs(trace - (1.0 + value)),
             "generator_value_ratio": abs(inverse_speed(L, pi) - value / k),
             "roundtrip_if_k0": float(np.abs(back.entries - K.entries).max()

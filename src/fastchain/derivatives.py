@@ -31,10 +31,12 @@ from .eigentime import HittingKernel, IdentityViolation, hitting_kernel
 from .generator import (
     CycleDecomposition,
     Generator,
+    NotInvariant,
+    NotNormalized,
     ProbabilityVector,
+    _check_member,
     combine,
     cycle_generator,
-    equilibrium_rate,
 )
 from .graph import Cycle
 
@@ -63,12 +65,10 @@ def _as_direction(direction, pi: ProbabilityVector) -> Generator:
         raise TypeError(f"unsupported direction type {type(direction)!r}")
     if direction.n != pi.n:
         raise DirectionInvalid("dimension mismatch")
-    resid = float(np.abs(pi.weights @ direction.rates).max())
-    if resid > 1e-9:
-        raise DirectionInvalid(f"direction is not pi-invariant, residual {resid!r}")
-    c = equilibrium_rate(direction, pi)
-    if abs(c - 1.0) > 1e-9:
-        raise DirectionInvalid(f"direction is not normalized, rate {c!r}")
+    try:
+        _check_member(direction, pi)
+    except (NotInvariant, NotNormalized) as exc:
+        raise DirectionInvalid(f"direction is not a member: {exc}") from exc
     return direction
 
 

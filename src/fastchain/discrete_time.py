@@ -5,6 +5,16 @@ inverse speed is the pi-double-averaged mean hitting time, with eigentime
 form sum over the non-unit spectrum of 1/(1 - theta) and Hunter's trace
 form 1 + value = tr (I - K + Pi)^{-1}.
 
+A kernel is evaluated on the continuous engine through its clock generator
+K - I (:meth:`Kernel.clock`): the steps of K taken at the rings of a
+unit-rate Poisson clock have the same mean hitting times, counted in steps.
+The clock's Pi - L is Hunter's I - K + Pi bit for bit, because
+fl(K(x,x) - 1) = -fl(1 - K(x,x)), so the discrete inverse speed and
+Hunter's trace are the F and the trace of Z of one
+:func:`~fastchain.eigentime.hitting_kernel`, which also checks that K is
+irreducible and pi-invariant.  The eigenvalues of K stay a route of their
+own (:func:`discrete_eigentime_spectral`).
+
 The two time scales are linked by the maps
 
     to_kernel:    K = I + L / l,  l = max_x L(x)      (lands in K0)
@@ -23,23 +33,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .eigentime import hitting_kernel
 from .generator import (
     Generator,
-    NotInvariant,
     NotIrreducible,
     ProbabilityVector,
+    _require_invariant,
     _require_irreducible,
+    equilibrium_rate,
 )
-from .graph import DirectedGraph, _support_strongly_connected
-from .optimizer import CyclePolytope, _wedge
+from .graph import DirectedGraph
+from .optimizer import CyclePolytope, frank_wolfe_minimize
 from .rng import RandomStream
 
 __all__ = [
     "Kernel",
     "IdentityKernel",
-    "SingularMatrix",
     "frak_f",
-    "discrete_hitting_times",
     "discrete_eigentime_spectral",
     "hunter_trace",
     "to_kernel",
@@ -50,10 +60,6 @@ __all__ = [
 
 class IdentityKernel(ValueError):
     """Kernel equals the identity; it generates no motion."""
-
-
-class SingularMatrix(ValueError):
-    """Hunter trace matrix is singular (kernel not irreducible)."""
 
 
 @dataclass(frozen=True)
@@ -84,40 +90,22 @@ class Kernel:
     def from_json(cls, obj: dict) -> "Kernel":
         return cls(np.asarray(obj["rates"], dtype=float))
 
-
-def _require_kernel_irreducible(K: Kernel):
-    if not _support_strongly_connected(K.entries):
-        raise NotIrreducible("kernel support is not strongly connected")
-
-
-def _require_kernel_invariant(K: Kernel, pi: ProbabilityVector):
-    resid = float(np.abs(pi.weights @ K.entries - pi.weights).max())
-    if resid > 1e-9:
-        raise NotInvariant(f"pi K residual {resid!r}")
-
-
-def discrete_hitting_times(K: Kernel) -> np.ndarray:
-    """E_x[tau_y] for the chain with kernel K, counted in steps.
-
-    Taking the steps of K at the rings of a unit-rate Poisson clock gives
-    the generator L = K - I with the same mean hitting times.  For any q
-    with sum q = 1, H = (1 q^T - L)^{-1} satisfies -L H = I - 1 pi^T and
-    q^T H = pi^T, so E[x, y] = (H[y, y] - H[x, y]) / pi(y) with pi read off
-    H.  Uniform q needs no pi, and inverts a different matrix from
-    :func:`hunter_trace`, which keeps the two an independent check.
-    """
-    _require_kernel_irreducible(K)
-    n = K.n
-    H = np.linalg.inv(np.full((n, n), 1.0 / n) + np.eye(n) - K.entries)
-    pi = H.mean(axis=0)
-    return (np.diag(H)[None, :] - H) / pi[None, :]
+    def clock(self) -> Generator:
+        """The generator K - I: the steps of K taken at the rings of a
+        unit-rate Poisson clock, with the same mean hitting times in steps."""
+        return Generator(self.entries - np.eye(self.n))
 
 
 def frak_f(K: Kernel, pi: ProbabilityVector) -> float:
-    """Discrete inverse speed: sum_{x,y} pi(x) pi(y) E_x[tau_y]."""
-    _require_kernel_invariant(K, pi)
-    E = discrete_hitting_times(K)
-    return float(pi.weights @ E @ pi.weights)
+    """Discrete inverse speed: sum_{x,y} pi(x) pi(y) E_x[tau_y], the F of
+    the clock generator.
+
+    Raises
+    ------
+    NotIrreducible
+    NotInvariant
+    """
+    return hitting_kernel(K.clock(), pi).f
 
 
 def discrete_eigentime_spectral(K: Kernel) -> float:
@@ -133,19 +121,18 @@ def discrete_eigentime_spectral(K: Kernel) -> float:
 
 
 def hunter_trace(K: Kernel, pi: ProbabilityVector) -> float:
-    """tr (I - K + Pi)^{-1} with Pi the rank-one matrix of rows pi.
+    """tr (I - K + Pi)^{-1} with Pi the rank-one matrix of rows pi: the
+    trace of the clock generator's Z.
 
     Equals 1 plus the discrete inverse speed for irreducible pi-invariant
     kernels.
+
+    Raises
+    ------
+    NotIrreducible
+    NotInvariant
     """
-    _require_kernel_invariant(K, pi)
-    n = K.n
-    M = np.eye(n) - K.entries + np.tile(pi.weights, (n, 1))
-    try:
-        inv = np.linalg.inv(M)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrix("I - K + Pi is singular") from exc
-    return float(np.trace(inv))
+    return float(np.trace(hitting_kernel(K.clock(), pi).Z))
 
 
 def to_kernel(L: Generator) -> tuple:
@@ -169,12 +156,13 @@ def to_generator(K: Kernel, pi: ProbabilityVector) -> tuple:
     discrete inverse speed of K divided by k.  Raises
     :class:`IdentityKernel` when K has no off-diagonal mass.
     """
-    _require_kernel_invariant(K, pi)
-    loss = float(pi.weights @ (1.0 - np.diag(K.entries)))
+    clock = K.clock()
+    _require_invariant(clock, pi)
+    loss = equilibrium_rate(clock, pi)
     if loss <= 1e-12:
         raise IdentityKernel("kernel equals the identity")
     k = 1.0 / loss
-    return Generator(k * (K.entries - np.eye(K.n))), k
+    return Generator(k * clock.rates), k
 
 
 @dataclass(frozen=True)
@@ -200,11 +188,13 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> We
     and K0 corresponds bijectively to the normalized generators with the
     discrete value equal to max_x L(x) times F(L).  The discrete infimum is
     therefore min over the cycle polytope of maxrate * F, searched here by
-    grid plus pairwise pattern descent over the mixture weights (heuristic;
-    exact closed forms back it up at desk scale in the tests).
+    pairwise pattern descent over the mixture weights (heuristic; exact
+    closed forms back it up at desk scale in the tests).  ``f_wedge`` is
+    the conditional-gradient minimum of F, the value of
+    :func:`~fastchain.optimizer.f_wedge`.
     """
     poly = CyclePolytope(g, pi)
-    f_best, report = _wedge(poly, seed=seed)
+    report = frank_wolfe_minimize(g, pi, seed=seed, extra_starts=8, polytope=poly)
 
     def discrete_objective(w: np.ndarray) -> float:
         return float((-np.diag(poly.rates(w))).max()) * poly.f_value(w)
@@ -214,9 +204,9 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> We
     w, val = _pattern_search(discrete_objective, poly.m, seed=seed,
                              warm_starts=[report.weights])
     return WedgeComparison(
-        f_wedge=float(f_best),
+        f_wedge=report.f_min,
         frak_f_wedge=float(val),
-        gap=float(val - f_best),
+        gap=float(val - report.f_min),
         kernel_weights=w,
     )
 

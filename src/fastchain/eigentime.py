@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .generator import Generator, NotInvariant, ProbabilityVector, _require_irreducible
+from .generator import Generator, ProbabilityVector, _require_invariant, _require_irreducible
 from .graph import Cycle
 from .rng import RandomStream
 
@@ -192,10 +192,8 @@ def hitting_kernel(L: Generator, pi: ProbabilityVector) -> HittingKernel:
         If pi is not invariant for L within 1e-9.
     """
     _require_irreducible(L)
+    _require_invariant(L, pi)
     p = pi.weights
-    resid = float(np.abs(p @ L.rates).max())
-    if resid > 1e-9:
-        raise NotInvariant(f"pi L residual {resid!r}")
     Z, E = _fundamental(np.tile(p, (len(p), 1)) - L.rates, p)
     h = _perturbation_kernel(Z, E)
     return HittingKernel(

@@ -178,6 +178,12 @@ def _require_irreducible(L: Generator):
         raise NotIrreducible("generator support is not strongly connected")
 
 
+def _require_invariant(L: Generator, pi: ProbabilityVector):
+    resid = float(np.abs(pi.weights @ L.rates).max())
+    if resid > CHECK_TOL:
+        raise NotInvariant(f"pi L residual {resid!r} exceeds {CHECK_TOL}")
+
+
 def invariant_measure(L: Generator) -> ProbabilityVector:
     """The unique positive pi with pi L = 0, sum pi = 1.
 
@@ -224,12 +230,10 @@ def is_compatible(L: Generator, g: DirectedGraph) -> bool:
                if i != j and L.rates[i, j] > 0)
 
 
-def _check_member(L: Generator, pi: ProbabilityVector, tol: float = CHECK_TOL):
-    resid = np.abs(pi.weights @ L.rates).max()
-    if resid > tol:
-        raise NotInvariant(f"pi L residual {resid!r} exceeds {tol}")
+def _check_member(L: Generator, pi: ProbabilityVector):
+    _require_invariant(L, pi)
     c = equilibrium_rate(L, pi)
-    if abs(c - 1.0) > tol:
+    if abs(c - 1.0) > CHECK_TOL:
         raise NotNormalized(f"equilibrium rate {c!r} is not 1")
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, log
+from math import log
 
 import numpy as np
 
@@ -317,8 +317,7 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
 
 
 def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
-                         grid_resolution: int,
-                         polytope: CyclePolytope | None = None) -> OptimizeReport:
+                         grid_resolution: int) -> OptimizeReport:
     """Grid scan of the weight simplex; oracle for the conditional-gradient path.
 
     Enumerates all compositions of ``grid_resolution`` over the cycles
@@ -326,7 +325,7 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
     """
     if grid_resolution < 10:
         raise ValueError("grid_resolution must be at least 10")
-    poly = polytope if polytope is not None else CyclePolytope(g, pi)
+    poly = CyclePolytope(g, pi)
     m = poly.m
     if m > 6:
         raise TooManyCycles(f"{m} cycles; grid search supports at most 6")
@@ -411,24 +410,7 @@ def epsilon_neighborhood(n: int, pi_min: float) -> EpsilonNeighborhood:
 
 
 def f_wedge(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> float:
-    """Best achievable F over the polytope: multi-start conditional gradient,
-    cross-checked by the grid oracle whenever at most 6 cycles exist.
-
-    The grid resolution is at most 60, capped so the scan stays around 2e4
-    points.
-    """
-    return _wedge(CyclePolytope(g, pi), seed)[0]
-
-
-def _wedge(poly: CyclePolytope, seed: int = 0) -> tuple:
-    """(best F, conditional-gradient report) behind :func:`f_wedge`."""
-    report = frank_wolfe_minimize(poly.graph, poly.pi, seed=seed, extra_starts=8,
-                                  polytope=poly)
-    best = report.f_min
-    if poly.m <= 6:
-        res = 60
-        while res > 10 and comb(res + poly.m - 1, poly.m - 1) > 20_000:
-            res -= 1
-        brute = brute_force_minimize(poly.graph, poly.pi, res, polytope=poly)
-        best = min(best, brute.f_min)
-    return float(best), report
+    """Best achievable F over the polytope: multi-start conditional gradient
+    with eight random starts besides the uniform one.  The grid scan
+    :func:`brute_force_minimize` is the oracle it is tested against."""
+    return frank_wolfe_minimize(g, pi, seed=seed, extra_starts=8).f_min

@@ -200,6 +200,15 @@ def test_discrete_kernel_command(tmp_path, pi3_file, capsys):
     assert doc["checks"]["roundtrip_if_k0"] <= 1e-12
 
 
+def test_discrete_kernel_command_rejects_reducible_kernel(tmp_path, capsys):
+    kpath = write(tmp_path, "two_swaps.json",
+                  {"n": 4, "rates": [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]})
+    ppath = write(tmp_path, "pi4.json", [0.25] * 4)
+    code, out, err = run_cli(["discrete", "--kernel", kpath, "--pi", ppath], capsys)
+    assert code == 2 and out == ""
+    assert "not strongly connected" in err
+
+
 def test_discrete_compare_command(tmp_path, pi3_file, capsys):
     gpath = write(tmp_path, "s2.json", segment_graph(2).to_json())
     code, out, _ = run_cli(["discrete", "--compare", "--graph", gpath,

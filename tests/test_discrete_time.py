@@ -7,14 +7,13 @@ from fastchain.discrete_time import (
     Kernel,
     compare_wedges,
     discrete_eigentime_spectral,
-    discrete_hitting_times,
     frak_f,
     hunter_trace,
     to_generator,
     to_kernel,
 )
-from fastchain.eigentime import inverse_speed, spectrum
-from fastchain.generator import Generator, ProbabilityVector, invariant_measure
+from fastchain.eigentime import hitting_kernel, inverse_speed, spectrum
+from fastchain.generator import Generator, NotIrreducible, ProbabilityVector, invariant_measure
 from fastchain.graph import complete_graph
 from fastchain.rng import RandomStream
 
@@ -45,7 +44,7 @@ def test_kernel_validation():
 
 def test_permutation_kernel_values(pi3):
     K = perm3()
-    E = discrete_hitting_times(K)
+    E = hitting_kernel(K.clock(), pi3).E
     assert_allclose(E, [[0, 1, 2], [2, 0, 1], [1, 2, 0]], atol=1e-13)
     assert abs(frak_f(K, pi3) - 1.0) <= 1e-12
     assert abs(discrete_eigentime_spectral(K) - 1.0) <= 1e-10
@@ -63,7 +62,7 @@ def test_discrete_hitting_times_match_first_step_oracle():
         lazy = Kernel(0.5 * K.entries + 0.5 * np.eye(n))
         for kern in (K, lazy):
             want = first_step_hitting_times(kern)
-            got = discrete_hitting_times(kern)
+            got = hitting_kernel(kern.clock(), pi).E
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -84,6 +83,53 @@ def test_lazy_mixture_slowdown(pi3):
 def test_hunter_on_lazy_kernel(pi3):
     lazy = Kernel(0.75 * np.eye(3) + 0.25 * perm3().entries)
     assert abs(hunter_trace(lazy, pi3) - (1.0 + frak_f(lazy, pi3))) <= 1e-10
+
+
+def random_kernel(s: RandomStream, n: int) -> tuple:
+    """(K, pi): the fastest kernel of a random pi-invariant generator on K_n."""
+    pi = random_pi(s, n)
+    L, _, _ = random_member(complete_graph(n), pi, s)
+    return to_kernel(L)[0], pi
+
+
+def test_frak_f_of_slow_kernels_scales_exactly():
+    """frak_f((1 - a) I + a P) = frak_f(P) / a to within eps / a relative,
+    the rounding of the lazy kernel's diagonal.  An inverse of
+    I + 1 q^T - K with uniform q, which reads pi off its own columns, misses
+    this by up to 1.8 eps / a on these kernels."""
+    eps = np.finfo(float).eps
+    stream = RandomStream(620)
+    for t in range(60):
+        s = stream.spawn(t)
+        n = 3 + t % 6
+        P, pi = random_kernel(s, n)
+        base = frak_f(P, pi)
+        for a in (1e-2, 1e-4, 1e-6):
+            slow = Kernel((1 - a) * np.eye(n) + a * P.entries)
+            assert abs(a * frak_f(slow, pi) - base) <= eps / a * base, (t, a)
+
+
+def test_hunter_trace_is_the_trace_of_hunters_inverse():
+    """The clock generator's Pi - L is I - K + Pi bit for bit, so the trace
+    is exactly the one of the direct formula."""
+    stream = RandomStream(621)
+    for t in range(30):
+        s = stream.spawn(t)
+        n = 2 + t % 7
+        K, pi = random_kernel(s, n)
+        for kern in (K, Kernel(0.5 * K.entries + 0.5 * np.eye(n))):
+            direct = np.eye(n) - kern.entries + np.tile(pi.weights, (n, 1))
+            assert hunter_trace(kern, pi) == np.trace(np.linalg.inv(direct))
+
+
+def two_disjoint_2_cycles() -> Kernel:
+    swap = np.array([[0.0, 1], [1, 0]])
+    return Kernel(np.kron(np.eye(2), swap))
+
+
+def test_hunter_trace_rejects_reducible_kernel():
+    with pytest.raises(NotIrreducible):
+        hunter_trace(two_disjoint_2_cycles(), ProbabilityVector.uniform(4))
 
 
 def test_to_kernel_examples(pi3, uniform_cycle3):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from fastchain.eigentime import hitting_kernel, inverse_speed
+from fastchain.experiments import triangle_leaf_graph
 from fastchain.generator import Generator, ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, _support_strongly_connected, complete_graph, segment_graph
 from fastchain.optimizer import (
@@ -129,6 +130,12 @@ def test_brute_force_agrees_with_frank_wolfe_near_uniform():
         bf = brute_force_minimize(k3, pi, 30)
         assert fw.f_min <= bf.f_min + 1e-9  # grid can only be coarser
         assert abs(fw.f_min - bf.f_min) <= 1e-4
+    # f_wedge runs no grid scan of its own: on few-cycle graphs with skewed
+    # pi the grid still never beats it
+    for t, g in enumerate((segment_graph(2), segment_graph(3), triangle_leaf_graph())):
+        w = np.arange(1.0, g.n + 1.0) ** 2
+        pi = ProbabilityVector(w / w.sum())
+        assert f_wedge(g, pi, seed=t) <= brute_force_minimize(g, pi, 60).f_min + 1e-9
 
 
 def test_stationarity_at_known_minimizers(pi3, s2):
