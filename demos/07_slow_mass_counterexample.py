@@ -13,7 +13,7 @@ import numpy as np
 from fastchain import (
     Cycle,
     build_cycle_tree_generator,
-    extended_f,
+    eigentime_spectral,
     find_counterexample,
     hamiltonian_speed_value,
     spectrum_split,
@@ -41,7 +41,7 @@ print("skeleton rates:\n", L_r.rates)
 # once per tree vertex, so the extended speed is 1 + 1/r.
 mult, err = spectrum_split(L_r, Cycle([0, 1, 2]), 10.0)
 print("multiplicity of eigenvalue r:", mult, " pairing error:", err)
-print("extended F:", extended_f(L_r), "= 1 + 1/10")
+print("extended F:", eigentime_spectral(L_r), "= 1 + 1/10")
 
 # Mix in a little of the whole graph to restore irreducibility and search
 # the (r, eps) grid for a certified win over every Hamiltonian tour.

@@ -60,7 +60,6 @@ from .experiments import (
     InvalidTrees,
     SearchExhausted,
     build_cycle_tree_generator,
-    extended_f,
     find_counterexample,
     s2_closed_form,
     spectrum_split,

@@ -111,7 +111,7 @@ def _cmd_eval(args) -> int:
         doc["derivatives"] = [
             {
                 "cycle": c.to_json(),
-                **derivative_report(L, pi, c, with_second=args.second, kernel=kern).to_json(),
+                **derivative_report(kern, c, with_second=args.second).to_json(),
             }
             for c in _cycles_below(L)
         ]

@@ -16,6 +16,9 @@ is the symmetric bilinear extension
 
     2 F - 2 H_A - 2 H_A' + H_{A,A'} + H_{A',A}.
 
+Every function takes the :class:`~fastchain.eigentime.HittingKernel` of
+(L, pi) first, so all derivatives at one L share its one inverse.
+
 The sign convention is pinned by the Taylor expansion of F along segments
 and is validated against central finite differences in the test suite;
 displays that disagree with it in sign are rejected by that oracle.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .eigentime import HittingKernel, IdentityViolation, hitting_kernel
+from .eigentime import HittingKernel, IdentityViolation
 from .generator import (
     CycleDecomposition,
     Generator,
@@ -72,7 +75,7 @@ def _as_direction(direction, pi: ProbabilityVector) -> Generator:
     return direction
 
 
-def psi_solve(L: Generator, pi: ProbabilityVector, cycle: Cycle, y: int) -> np.ndarray:
+def psi_solve(kern: HittingKernel, cycle: Cycle, y: int) -> np.ndarray:
     """First-order response profile psi_y for a cycle direction.
 
     Solves L psi = L_A phi_y with psi(y) = 0, phi_y being the hitting-time
@@ -86,8 +89,7 @@ def psi_solve(L: Generator, pi: ProbabilityVector, cycle: Cycle, y: int) -> np.n
     than the rounding allowance of a quantity of order M(L)^2 (see
     :func:`_rounding_tol`).  The fundamental-matrix value is returned.
     """
-    kern = hitting_kernel(L, pi)
-    g = kern.Z @ (cycle_generator(pi, cycle).rates @ kern.E[:, y])
+    g = kern.Z @ (cycle_generator(kern.pi, cycle).rates @ kern.E[:, y])
     psi = g[y] - g
     err = float(np.abs(psi - _psi_closed_form(kern.E, cycle, y)).max())
     if err > _rounding_tol(kern, 2):
@@ -117,7 +119,7 @@ def _psi_closed_form(E: np.ndarray, cycle: Cycle, y: int) -> np.ndarray:
     return out / n_c
 
 
-def directional_derivative(L: Generator, pi: ProbabilityVector, direction) -> float:
+def directional_derivative(kern: HittingKernel, direction) -> float:
     """Derivative of F at L along the segment toward ``direction``.
 
     ``direction`` may be a :class:`Cycle`, a normalized pi-invariant
@@ -125,24 +127,14 @@ def directional_derivative(L: Generator, pi: ProbabilityVector, direction) -> fl
     checked at 1e-9 and :class:`DirectionInvalid` raised otherwise.  For a
     cycle A the value is F(L) - H_A(L).
     """
-    kern = hitting_kernel(L, pi)
     if isinstance(direction, Cycle):
         return kern.f - kern.h_cycle(direction)
-    off = _as_direction(direction, pi).rates.copy()
+    off = _as_direction(direction, kern.pi).rates.copy()
     np.fill_diagonal(off, 0.0)
-    return kern.f - float(np.sum(pi.weights[:, None] * off * kern.h))
+    return kern.f - float(np.sum(kern.pi.weights[:, None] * off * kern.h))
 
 
-def _h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
-    a = np.asarray(cycle_a.vertices)
-    b = np.asarray(cycle_b.vertices)[:, None]
-    a1, b1 = np.roll(a, -1), np.roll(b, -1, axis=0)
-    H, E = kern.h, kern.E
-    total = np.sum((H[b, a1] - H[b, a]) * (E[b1, a] - E[b, a]))
-    return float(total) / (len(cycle_a) * len(cycle_b))
-
-
-def h_cross(L: Generator, pi: ProbabilityVector, cycle_a: Cycle, cycle_b: Cycle) -> float:
+def h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
     """Chained second-order term H_{B,A}(L) for cycle directions.
 
     Equals sum_y pi(y) pi[Psi_y] where Psi_y solves L Psi = L_B psi_y and
@@ -152,7 +144,12 @@ def h_cross(L: Generator, pi: ProbabilityVector, cycle_a: Cycle, cycle_b: Cycle)
         (1/(n_A n_B)) sum_{l,k} (h(b_k, a_{l+1}) - h(b_k, a_l))
                                 (phi_{a_l}(b_{k+1}) - phi_{a_l}(b_k)).
     """
-    return _h_cross(hitting_kernel(L, pi), cycle_a, cycle_b)
+    a = np.asarray(cycle_a.vertices)
+    b = np.asarray(cycle_b.vertices)[:, None]
+    a1, b1 = np.roll(a, -1), np.roll(b, -1, axis=0)
+    H, E = kern.h, kern.E
+    total = np.sum((H[b, a1] - H[b, a]) * (E[b1, a] - E[b, a]))
+    return float(total) / (len(cycle_a) * len(cycle_b))
 
 
 def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray, rates_b: np.ndarray) -> float:
@@ -167,20 +164,7 @@ def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray, rates_b: np.ndarra
     return -float(kern.pi.weights @ np.diag(chained))
 
 
-def _second_directional(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
-    rates_a = cycle_generator(kern.pi, cycle_a).rates
-    rates_b = cycle_generator(kern.pi, cycle_b).rates
-    cross_ba = _mean_psi_cross(kern, rates_a, rates_b)
-    cross_ab = _mean_psi_cross(kern, rates_b, rates_a)
-    assembled = _h_cross(kern, cycle_a, cycle_b)
-    if abs(assembled - cross_ba) > _rounding_tol(kern, 3):
-        raise IdentityViolation(
-            f"chained term mismatch: assembled {assembled!r} vs solved {cross_ba!r}")
-    return (2.0 * kern.f - 2.0 * kern.h_cycle(cycle_a) - 2.0 * kern.h_cycle(cycle_b)
-            + cross_ab + cross_ba)
-
-
-def second_directional(L: Generator, pi: ProbabilityVector, cycle_a: Cycle,
+def second_directional(kern: HittingKernel, cycle_a: Cycle,
                        cycle_b: Cycle | None = None) -> float:
     """Second derivative of F along cycle directions.
 
@@ -197,8 +181,18 @@ def second_directional(L: Generator, pi: ProbabilityVector, cycle_a: Cycle,
     within the rounding allowance of a quantity of order M(L)^3 (see
     :func:`_rounding_tol`).
     """
-    return _second_directional(hitting_kernel(L, pi), cycle_a,
-                               cycle_a if cycle_b is None else cycle_b)
+    if cycle_b is None:
+        cycle_b = cycle_a
+    rates_a = cycle_generator(kern.pi, cycle_a).rates
+    rates_b = cycle_generator(kern.pi, cycle_b).rates
+    cross_ba = _mean_psi_cross(kern, rates_a, rates_b)
+    cross_ab = _mean_psi_cross(kern, rates_b, rates_a)
+    assembled = h_cross(kern, cycle_a, cycle_b)
+    if abs(assembled - cross_ba) > _rounding_tol(kern, 3):
+        raise IdentityViolation(
+            f"chained term mismatch: assembled {assembled!r} vs solved {cross_ba!r}")
+    return (2.0 * kern.f - 2.0 * kern.h_cycle(cycle_a) - 2.0 * kern.h_cycle(cycle_b)
+            + cross_ab + cross_ba)
 
 
 @dataclass(frozen=True)
@@ -219,20 +213,14 @@ class DerivativeReport:
         }
 
 
-def derivative_report(L: Generator, pi: ProbabilityVector, cycle: Cycle,
-                      with_second: bool = False,
-                      kernel: HittingKernel | None = None) -> DerivativeReport:
-    """F, H_A, first and (optionally) second derivative along one cycle.
-
-    ``kernel``, the :func:`~fastchain.eigentime.hitting_kernel` of (L, pi),
-    lets the reports for many cycles share one factorization.
-    """
-    kern = hitting_kernel(L, pi) if kernel is None else kernel
+def derivative_report(kern: HittingKernel, cycle: Cycle,
+                      with_second: bool = False) -> DerivativeReport:
+    """F, H_A, first and (optionally) second derivative along one cycle."""
     h_a = kern.h_cycle(cycle)
     return DerivativeReport(
         f_value=kern.f,
         h_cycle=h_a,
         first=kern.f - h_a,
-        second=_second_directional(kern, cycle, cycle) if with_second else None,
+        second=second_directional(kern, cycle) if with_second else None,
         m_bound=kern.m_bound,
     )

@@ -38,6 +38,7 @@ from .generator import (
     Generator,
     NotIrreducible,
     ProbabilityVector,
+    ZeroGenerator,
     _require_invariant,
     _require_irreducible,
     equilibrium_rate,
@@ -70,8 +71,8 @@ class Kernel:
 
     def __init__(self, entries):
         k = np.asarray(entries, dtype=float).copy()
-        if k.ndim != 2 or k.shape[0] != k.shape[1]:
-            raise ValueError("kernel must be a square matrix")
+        if k.ndim != 2 or k.shape[0] != k.shape[1] or not np.isfinite(k).all():
+            raise ValueError("kernel must be a finite square matrix")
         if np.any(k < -1e-12):
             raise ValueError("kernel entries must be nonnegative")
         if np.any(np.abs(k.sum(axis=1) - 1.0) > 1e-12):
@@ -138,13 +139,14 @@ def hunter_trace(K: Kernel, pi: ProbabilityVector) -> float:
 def to_kernel(L: Generator) -> tuple:
     """Fastest embedding of a generator into a kernel: K = I + L / l.
 
-    Returns (K, l) with l the maximal exit rate; K has a zero diagonal
-    entry at every argmax vertex, and the discrete inverse speed of K is
-    l times the continuous one of L.
+    Returns (K, l) with l > 0 the maximal exit rate (else ZeroGenerator);
+    K has a zero diagonal entry at every argmax vertex, and the discrete
+    inverse speed of K is l times the continuous one of L.
     """
     _require_irreducible(L)
-    rates = L.exit_rates()
-    l = float(rates.max())
+    l = float(L.exit_rates().max())
+    if l <= 0:
+        raise ZeroGenerator("generator has no positive exit rate")
     K = Kernel(np.eye(L.n) + L.rates / l)
     return K, l
 

@@ -58,7 +58,7 @@ class StateSpaceTooLarge(RuntimeError):
 
 
 class BudgetInvalid(ValueError):
-    """Rate budgets must be positive and sum to the vertex count."""
+    """Rate budgets must be finite, positive and sum to the vertex count."""
 
 
 @dataclass(frozen=True)
@@ -209,14 +209,14 @@ def discrete_value_function(g: DirectedGraph) -> ValueTable:
 def continuous_value_function(g: DirectedGraph, budgets) -> ValueTable:
     """Covering DP with exponential sojourns at per-vertex rate budgets.
 
-    ``budgets`` must be positive and sum to n within 1e-9 (the equilibrium
-    normalization with uniform invariant measure).  The optimal policy puts
-    the whole rate budget of the current vertex on a single successor, so
-    the recursion is V(i, A) = |A|/a_i + min_j V(j, A \\ {j}).
+    ``budgets`` must be finite, positive and sum to n within 1e-9 (the
+    equilibrium normalization with uniform invariant measure).  The optimal
+    policy puts the whole rate budget of the current vertex on a single
+    successor, so the recursion is V(i, A) = |A|/a_i + min_j V(j, A \\ {j}).
     """
     a = np.asarray(budgets, dtype=float)
-    if a.shape != (g.n,) or np.any(a <= 0):
-        raise BudgetInvalid("budgets must be positive, one per vertex")
+    if a.shape != (g.n,) or not np.all(np.isfinite(a) & (a > 0)):
+        raise BudgetInvalid("budgets must be finite and positive, one per vertex")
     if abs(a.sum() - g.n) > 1e-9:
         raise BudgetInvalid(f"budgets must sum to n={g.n}, got {a.sum()!r}")
     return replace(_solve_table(g, lambda i, size: size / a[i]), budgets=a)

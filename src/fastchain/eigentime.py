@@ -14,14 +14,16 @@ g = -Z r for every pi-centered r, so
     E_x[tau_y] = (Z[y, y] - Z[x, y]) / pi(y),
 
 and the chained solves behind second moments and the perturbation kernel h
-are columns of W = Z E.  :class:`HittingKernel` holds all of them.  The
-eigentime identity F(L) = sum over nonzero eigenvalues of -L of 1/lambda
-gives an independent spectral route used for cross-checking throughout.
+are columns of W = Z E, formed only when one of them is read.
+:class:`HittingKernel` holds all of them.  The eigentime identity F(L) =
+sum over nonzero eigenvalues of -L of 1/lambda gives an independent
+spectral route used for cross-checking throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -154,18 +156,29 @@ class HittingKernel:
     moments E_x[tau_y^2] = 2 (pi[phi_y] phi_y(x) - aux[x, y]) and the
     perturbation kernel h(x, y) = -aux[y, x].  ``kemeny`` is the vector
     E pi, ``f`` is F(L), ``h_mean`` is pi h pi (which equals sum 1/lambda^2)
-    and ``m_bound`` is M(L) = max E.
+    and ``m_bound`` is M(L) = max E.  W, a second n^3 product, is formed on
+    the first read of ``h``, ``second_moments`` or ``h_mean``, and kept.
     """
 
     pi: ProbabilityVector
     Z: np.ndarray
     E: np.ndarray
-    second_moments: np.ndarray
-    h: np.ndarray
     kemeny: np.ndarray
     f: float
-    h_mean: float
     m_bound: float
+
+    @cached_property
+    def h(self) -> np.ndarray:
+        return _perturbation_kernel(self.Z, self.E)
+
+    @cached_property
+    def second_moments(self) -> np.ndarray:
+        # h.T is exactly -aux, so adding it subtracts aux
+        return 2.0 * ((self.pi.weights @ self.E)[None, :] * self.E + self.h.T)
+
+    @cached_property
+    def h_mean(self) -> float:
+        return float(self.pi.weights @ self.h @ self.pi.weights)
 
     def h_cycle(self, cycle: Cycle) -> float:
         """H_A: the average of h over the arcs of the cycle."""
@@ -195,17 +208,12 @@ def hitting_kernel(L: Generator, pi: ProbabilityVector) -> HittingKernel:
     _require_invariant(L, pi)
     p = pi.weights
     Z, E = _fundamental(np.tile(p, (len(p), 1)) - L.rates, p)
-    h = _perturbation_kernel(Z, E)
     return HittingKernel(
         pi=pi,
         Z=Z,
         E=E,
-        # h.T is exactly -aux, so adding it subtracts aux
-        second_moments=2.0 * ((p @ E)[None, :] * E + h.T),
-        h=h,
         kemeny=E @ p,
         f=float(p @ E @ p),
-        h_mean=float(p @ h @ p),
         m_bound=float(E.max()),
     )
 

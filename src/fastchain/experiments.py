@@ -24,7 +24,7 @@ from math import sqrt
 
 import numpy as np
 
-from .eigentime import eigentime_spectral, hamiltonian_speed_value, inverse_speed, spectrum
+from .eigentime import hamiltonian_speed_value, inverse_speed, spectrum
 from .generator import (
     CycleDecomposition,
     Generator,
@@ -50,7 +50,6 @@ __all__ = [
     "SegmentReport",
     "Theorem2ProbeReport",
     "build_cycle_tree_generator",
-    "extended_f",
     "spectrum_split",
     "find_counterexample",
     "s2_closed_form",
@@ -114,10 +113,6 @@ def build_cycle_tree_generator(g: DirectedGraph, short_cycle: Cycle,
         rates[i, j] = r
         rates[i, i] = -r
     return Generator(rates)
-
-
-# the spectral extension of F to reducible generators with a simple zero eigenvalue
-extended_f = eigentime_spectral
 
 
 def spectrum_split(L_r: Generator, short_cycle: Cycle, r: float) -> tuple:

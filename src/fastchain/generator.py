@@ -10,6 +10,7 @@ flow, and :func:`combine` is the inverse direction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,8 @@ class ProbabilityVector:
         w = np.asarray(weights, dtype=float).copy()
         if w.ndim != 1:
             raise ValueError("weights must be a vector")
-        if np.any(w <= 0):
-            raise ValueError("all probabilities must be strictly positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise ValueError("probabilities must be finite and strictly positive")
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {w.sum()!r}")
         w.flags.writeable = False
@@ -100,11 +101,14 @@ class Generator:
         r = np.asarray(rates, dtype=float).copy()
         if r.ndim != 2 or r.shape[0] != r.shape[1]:
             raise ValueError("rates must be a square matrix")
+        scale = float(np.abs(r).max())  # NaN or inf exactly when an entry is
+        if not math.isfinite(scale):
+            raise ValueError("rates must be finite")
         off = r - np.diag(np.diag(r))
         if np.any(off < -ROW_SUM_TOL):
             raise ValueError("off-diagonal rates must be nonnegative")
         rows = np.abs(r.sum(axis=1))
-        if np.any(rows > ROW_SUM_TOL * max(1.0, float(np.abs(r).max()))):
+        if np.any(rows > ROW_SUM_TOL * max(1.0, scale)):
             raise ValueError(f"row sums must vanish, max residual {rows.max()!r}")
         r.flags.writeable = False
         object.__setattr__(self, "rates", r)
@@ -133,8 +137,8 @@ class CycleDecomposition:
 
     def __init__(self, terms):
         pairs = tuple((c if isinstance(c, Cycle) else Cycle(c), float(w)) for c, w in terms)
-        if any(w <= 0 for _, w in pairs):
-            raise ValueError("weights must be strictly positive")
+        if not all(0 < w < math.inf for _, w in pairs):
+            raise ValueError("weights must be finite and strictly positive")
         total = sum(w for _, w in pairs)
         if abs(total - 1.0) > 1e-10:
             raise ValueError(f"weights must sum to 1, got {total!r}")
@@ -180,7 +184,7 @@ def _require_irreducible(L: Generator):
 
 def _require_invariant(L: Generator, pi: ProbabilityVector):
     resid = float(np.abs(pi.weights @ L.rates).max())
-    if resid > CHECK_TOL:
+    if not resid <= CHECK_TOL:  # a NaN residual fails too
         raise NotInvariant(f"pi L residual {resid!r} exceeds {CHECK_TOL}")
 
 

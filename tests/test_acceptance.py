@@ -119,7 +119,7 @@ def test_criterion_3_derivative_oracle():
         below = [c for c in cycles
                  if all(L.rates[a, b] > 1e-9 for a, b in c.arcs())]
         cyc = below[int(s.uniform(1)[0] * len(below))]
-        analytic = directional_derivative(L, pi, cyc)
+        analytic = directional_derivative(hitting_kernel(L, pi), cyc)
         LA = cycle_generator(pi, cyc).rates
         eps = 1e-5
         fd = (f_reference((1 - eps) * L.rates + eps * LA, pi)
@@ -134,7 +134,7 @@ def test_criterion_3_derivative_oracle():
         cyc = cycles[int(s.uniform(1)[0] * len(cycles))]
         # sign convention: second derivative of e -> F((1-e)L + e L_A),
         # matched directly against its own Taylor quotient
-        analytic = second_directional(L, pi, cyc)
+        analytic = second_directional(hitting_kernel(L, pi), cyc)
         eps = 1e-3
         LA = cycle_generator(pi, cyc).rates
         f0 = f_reference(L.rates, pi)

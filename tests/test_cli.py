@@ -58,6 +58,14 @@ def test_eval_rejects_non_invariant_pi(ham3_file, tmp_path, capsys):
     assert "residual" in err
 
 
+def test_eval_rejects_non_finite_pi(ham3_file, tmp_path, capsys):
+    """NaN weights used to pass every check and fail only in the writer."""
+    ppath = write(tmp_path, "pi.json", [float("nan"), 0.5, 0.5])
+    code, out, err = run_cli(["eval", "--generator", ham3_file, "--pi", ppath], capsys)
+    detail = "probabilities must be finite and strictly positive"
+    assert (code, out, err) == (2, "", f"error: bad probability file {ppath}: {detail}\n")
+
+
 def test_eval_byte_determinism(ham3_file, pi3_file, capsys):
     _, out1, _ = run_cli(["eval", "--generator", ham3_file, "--pi", pi3_file], capsys)
     _, out2, _ = run_cli(["eval", "--generator", ham3_file, "--pi", pi3_file], capsys)
@@ -285,6 +293,16 @@ def test_dp_budgets_file_holding_an_object_exits_2(tmp_path, capsys):
                               "--budgets", bpath], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+def test_dp_budgets_must_be_finite(tmp_path, capsys):
+    """A NaN budget used to reach the DP and exit 2 with 'negative shift count'."""
+    gpath = write(tmp_path, "k3.json", complete_graph(3).to_json())
+    bpath = write(tmp_path, "b.json", [float("nan"), 1.5, 1.5])
+    code, out, err = run_cli(["dp", "--graph", gpath, "--mode", "continuous",
+                              "--budgets", bpath], capsys)
+    assert (code, out) == (2, "")
+    assert "finite" in err
 
 
 def test_selftest_runs():

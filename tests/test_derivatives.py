@@ -40,7 +40,7 @@ def second_fd(L, pi, cycle, eps=1e-3):
 
 
 def test_psi_anchoring_and_closed_form(pi3, uniform_cycle3):
-    psi = psi_solve(uniform_cycle3, pi3, Cycle([0, 1]), 1)
+    psi = psi_solve(hitting_kernel(uniform_cycle3, pi3), Cycle([0, 1]), 1)
     assert psi[1] == 0.0
 
 
@@ -52,9 +52,10 @@ def test_psi_average_reproduces_h_cycle():
         pi = random_pi(s, n)
         L, cycles, _ = random_member(complete_graph(n), pi, s)
         cyc = cycles[int(s.uniform(1)[0] * len(cycles))]
-        total = sum(pi[y] * float(pi.weights @ psi_solve(L, pi, cyc, y))
+        kern = hitting_kernel(L, pi)
+        total = sum(pi[y] * float(pi.weights @ psi_solve(kern, cyc, y))
                     for y in range(n))
-        assert abs(total - hitting_kernel(L, pi).h_cycle(cyc)) <= 1e-10
+        assert abs(total - kern.h_cycle(cyc)) <= 1e-10
 
 
 def test_h_cycle_uniform_cycle_values(uniform_cycle3, pi3):
@@ -72,8 +73,9 @@ def test_h_cycle_hamiltonian_is_half_n_minus_1():
 
 def test_directional_derivative_examples(uniform_cycle3, pi3):
     # moving along the generator's own cycle changes nothing
-    assert abs(directional_derivative(uniform_cycle3, pi3, Cycle([0, 1, 2]))) <= 1e-12
-    d = directional_derivative(uniform_cycle3, pi3, Cycle([0, 1]))
+    kern = hitting_kernel(uniform_cycle3, pi3)
+    assert abs(directional_derivative(kern, Cycle([0, 1, 2]))) <= 1e-12
+    d = directional_derivative(kern, Cycle([0, 1]))
     assert abs(d - 0.5) <= 1e-12
     assert d >= (3 - 1) / (2 * 3)
 
@@ -86,7 +88,8 @@ def test_directional_derivative_vs_finite_differences():
         pi = random_pi(s, n)
         L, cycles, _ = random_member(complete_graph(n), pi, s)
         cyc = cycles[int(s.uniform(1)[0] * len(cycles))]
-        assert abs(directional_derivative(L, pi, cyc) - central_fd(L, pi, cyc)) <= 1e-6
+        assert abs(directional_derivative(hitting_kernel(L, pi), cyc)
+                   - central_fd(L, pi, cyc)) <= 1e-6
 
 
 def test_directional_derivative_general_direction_matches_decomposition():
@@ -96,18 +99,20 @@ def test_directional_derivative_general_direction_matches_decomposition():
         pi = random_pi(s, 4)
         L, cycles, _ = random_member(complete_graph(4), pi, s)
         direction, _, _ = random_member(complete_graph(4), pi, s.spawn(1))
-        d_mat = directional_derivative(L, pi, direction)
+        kern = hitting_kernel(L, pi)
+        d_mat = directional_derivative(kern, direction)
         dec = decompose_into_cycles(direction, pi)
-        d_sum = sum(w * directional_derivative(L, pi, c) for c, w in dec.terms)
+        d_sum = sum(w * directional_derivative(kern, c) for c, w in dec.terms)
         assert abs(d_mat - d_sum) <= 1e-9
-        d_dec = directional_derivative(L, pi, dec)
+        d_dec = directional_derivative(kern, dec)
         assert abs(d_mat - d_dec) <= 1e-9
 
 
 def test_direction_validation(uniform_cycle3, pi3):
     bad = Generator([[-2.0, 2, 0], [1, -2, 1], [0, 2, -2]])  # not uniform-invariant
+    kern = hitting_kernel(uniform_cycle3, pi3)
     with pytest.raises(DirectionInvalid):
-        directional_derivative(uniform_cycle3, pi3, bad)
+        directional_derivative(kern, bad)
 
 
 def test_second_directional_vs_finite_differences():
@@ -118,7 +123,7 @@ def test_second_directional_vs_finite_differences():
         pi = random_pi(s, n)
         L, cycles, _ = random_member(complete_graph(n), pi, s)
         cyc = cycles[int(s.uniform(1)[0] * len(cycles))]
-        analytic = second_directional(L, pi, cyc)
+        analytic = second_directional(hitting_kernel(L, pi), cyc)
         fd = second_fd(L, pi, cyc)
         assert abs(analytic - fd) <= 1e-3 * max(1.0, abs(fd))
 
@@ -132,8 +137,9 @@ def test_second_directional_mixed_symmetric_and_matches_fd():
         L, cycles, _ = random_member(complete_graph(n), pi, s)
         ca = cycles[int(s.uniform(1)[0] * len(cycles))]
         cb = cycles[int(s.uniform(1)[0] * len(cycles))]
-        d_ab = second_directional(L, pi, ca, cb)
-        d_ba = second_directional(L, pi, cb, ca)
+        kern = hitting_kernel(L, pi)
+        d_ab = second_directional(kern, ca, cb)
+        d_ba = second_directional(kern, cb, ca)
         assert abs(d_ab - d_ba) <= 1e-9
         eps = 1e-3
         Wa = cycle_generator(pi, ca).rates - L.rates
@@ -174,9 +180,10 @@ def test_derivative_bounds_random_triples():
         L, cycles, _ = random_member(complete_graph(n), pi, s)
         ca = cycles[int(s.uniform(1)[0] * len(cycles))]
         cb = cycles[int(s.uniform(1)[0] * len(cycles))]
-        m = hitting_kernel(L, pi).m_bound
-        assert abs(directional_derivative(L, pi, ca)) <= m + m * m + 1e-9
-        d2 = second_directional(L, pi, ca, cb)
+        kern = hitting_kernel(L, pi)
+        m = kern.m_bound
+        assert abs(directional_derivative(kern, ca)) <= m + m * m + 1e-9
+        d2 = second_directional(kern, ca, cb)
         assert abs(d2) <= 2 * (m + m ** 2 + m ** 3) + 1e-9
 
 
@@ -196,7 +203,7 @@ def test_hamiltonian_ascent_margin_small_n():
 
 
 def test_derivative_report(uniform_cycle3, pi3):
-    rep = derivative_report(uniform_cycle3, pi3, Cycle([0, 1]), with_second=True)
+    rep = derivative_report(hitting_kernel(uniform_cycle3, pi3), Cycle([0, 1]), with_second=True)
     assert abs(rep.first - (rep.f_value - rep.h_cycle)) <= 1e-12
     assert abs(rep.first) <= rep.m_bound + rep.m_bound ** 2
     assert rep.second is not None
@@ -208,7 +215,7 @@ def test_h_cross_equals_direct_solves():
     s = stream.spawn(0)
     pi = random_pi(s, 4)
     L, cycles, _ = random_member(complete_graph(4), pi, s)
-    val = h_cross(L, pi, cycles[1], cycles[4])
+    val = h_cross(hitting_kernel(L, pi), cycles[1], cycles[4])
     assert np.isfinite(val)
 
 
@@ -224,9 +231,10 @@ def test_chained_term_direct_route_matches_double_solve_oracle():
         cb = cycles[int(s.uniform(1)[0] * len(cycles))]
         ra, rb = cycle_generator(pi, ca).rates, cycle_generator(pi, cb).rates
         want = anchored_mean_psi_cross(L.rates, pi.weights, ra, rb)
-        got = _mean_psi_cross(hitting_kernel(L, pi), ra, rb)
+        kern = hitting_kernel(L, pi)
+        got = _mean_psi_cross(kern, ra, rb)
         assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
-        assert abs(h_cross(L, pi, ca, cb) - want) <= 1e-8 * max(1.0, abs(want))
+        assert abs(h_cross(kern, ca, cb) - want) <= 1e-8 * max(1.0, abs(want))
 
 
 def stiff_path(n, weight):
@@ -246,12 +254,13 @@ def test_cross_checks_pass_on_stiff_chains(n, weight):
     """The two routes to psi and to the chained term differ only by rounding
     on a slow bottleneck (F = 4.0e4 at n = 10), so neither check raises."""
     L, pi, cycles = stiff_path(n, weight)
-    assert inverse_speed(L, pi) > 1e4
+    kern = hitting_kernel(L, pi)
+    assert kern.f > 1e4
     for c in cycles:
         for y in range(n):
-            psi_solve(L, pi, c, y)
+            psi_solve(kern, c, y)
         for d in cycles:
-            second_directional(L, pi, c, d)
+            second_directional(kern, c, d)
 
 
 @pytest.mark.parametrize("rel", [1e-6, 1e-8])
@@ -260,13 +269,14 @@ def test_cross_checks_catch_relative_error_on_stiff_chain(monkeypatch, rel):
     check still raises on the stiff chain, where the allowance is widest."""
     L, pi, cycles = stiff_path(10, 1e-4)
     middle = cycles[4]
-    psi_closed, h_assembled = derivatives._psi_closed_form, derivatives._h_cross
+    kern = hitting_kernel(L, pi)
+    psi_closed, h_assembled = derivatives._psi_closed_form, derivatives.h_cross
     monkeypatch.setattr(derivatives, "_psi_closed_form",
                         lambda *args: psi_closed(*args) * (1 + rel))
     with pytest.raises(IdentityViolation):
-        psi_solve(L, pi, middle, 0)
+        psi_solve(kern, middle, 0)
     monkeypatch.setattr(derivatives, "_psi_closed_form", psi_closed)
-    monkeypatch.setattr(derivatives, "_h_cross",
+    monkeypatch.setattr(derivatives, "h_cross",
                         lambda *args: h_assembled(*args) * (1 + rel))
     with pytest.raises(IdentityViolation):
-        second_directional(L, pi, middle)
+        second_directional(kern, middle)

@@ -13,7 +13,13 @@ from fastchain.discrete_time import (
     to_kernel,
 )
 from fastchain.eigentime import hitting_kernel, inverse_speed, spectrum
-from fastchain.generator import Generator, NotIrreducible, ProbabilityVector, invariant_measure
+from fastchain.generator import (
+    Generator,
+    NotIrreducible,
+    ProbabilityVector,
+    ZeroGenerator,
+    invariant_measure,
+)
 from fastchain.graph import complete_graph
 from fastchain.rng import RandomStream
 
@@ -40,6 +46,11 @@ def test_kernel_validation():
         Kernel(np.array([[0.5, 0.6], [0.5, 0.5]]))
     with pytest.raises(ValueError):
         Kernel(np.array([[1.5, -0.5], [0.5, 0.5]]))
+
+
+def test_kernel_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        Kernel(np.array([[np.nan, np.nan], [0.5, 0.5]]))
 
 
 def test_permutation_kernel_values(pi3):
@@ -140,6 +151,12 @@ def test_to_kernel_examples(pi3, uniform_cycle3):
     assert l2 == 2.0
     assert_allclose(K2.entries, K.entries, atol=1e-15)
     assert np.min(np.diag(K.entries)) <= 1e-15  # image has a zero diagonal entry
+
+
+def test_to_kernel_rejects_generator_without_motion():
+    """A zero maximal exit rate used to divide by -0.0 into a NaN kernel."""
+    with pytest.raises(ZeroGenerator):
+        to_kernel(Generator([[0.0]]))
 
 
 def test_to_generator_examples(pi3, uniform_cycle3):

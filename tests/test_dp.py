@@ -127,6 +127,12 @@ def test_budget_validation():
         continuous_value_function(triangle(), np.array([3.0, -1.0, 1.0]))
 
 
+@pytest.mark.parametrize("budgets", [[np.nan, 1.5, 1.5], [np.inf, 1.0, 1.0]])
+def test_budget_validation_rejects_non_finite(budgets):
+    with pytest.raises(BudgetInvalid, match="finite"):
+        continuous_value_function(triangle(), np.array(budgets))
+
+
 def test_state_space_cap():
     n = 21
     ring = DirectedGraph(n, [(i, (i + 1) % n) for i in range(n)])

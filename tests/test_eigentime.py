@@ -17,6 +17,7 @@ from fastchain.eigentime import (
     spectral_second_identity,
     spectrum,
 )
+from fastchain.derivatives import psi_solve
 from fastchain.generator import Generator, ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, complete_graph
 from fastchain.rng import RandomStream
@@ -93,6 +94,19 @@ def test_h_matrix_cycle_formula(uniform_cycle3, pi3):
     assert_allclose(H, h3(rho.T), atol=1e-12)
     assert H[0, 1] == pytest.approx(1.0)  # forward distance from 1 back to 0 is 2
     assert_allclose(np.diag(H), 0.0, atol=1e-13)
+
+
+def test_kernel_forms_h_on_first_read(random_walk3, pi3):
+    """F, E, Z, the Kemeny vector and M(L) come from the one inverse alone;
+    W = Z E is formed on the first read of h, second_moments or h_mean."""
+    kern = hitting_kernel(random_walk3, pi3)
+    kern.f, kern.E, kern.Z, kern.kemeny, kern.m_bound
+    psi_solve(kern, Cycle([0, 1]), 1)
+    lazy = {"h", "second_moments", "h_mean"}
+    assert not lazy & set(vars(kern))
+    M2 = kern.second_moments
+    assert "h" in vars(kern)
+    assert kern.second_moments is M2 and kern.h is kern.report().h
 
 
 def test_spectral_second_identity_examples(uniform_cycle3, random_walk3, pi3):

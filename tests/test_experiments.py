@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from fastchain.eigentime import hamiltonian_speed_value, inverse_speed
+from fastchain.eigentime import eigentime_spectral, hamiltonian_speed_value, inverse_speed
 from fastchain.experiments import (
     InvalidTrees,
     NotLength3,
     build_cycle_tree_generator,
-    extended_f,
     find_counterexample,
     s2_closed_form,
     spectrum_split,
@@ -52,10 +51,10 @@ def test_extended_f_values():
     g = triangle_leaf_graph()
     for r, expect in ((10.0, 1.1), (100.0, 1.01), (1e4, 1.0001)):
         L = build_cycle_tree_generator(g, Cycle([0, 1, 2]), [(3, 0)], r)
-        assert abs(extended_f(L) - expect) <= 1e-9
+        assert abs(eigentime_spectral(L) - expect) <= 1e-9
     # large-r limit approaches the pure short-cycle value (n-1)/2 = 1
     L = build_cycle_tree_generator(g, Cycle([0, 1, 2]), [(3, 0)], 1e8)
-    assert abs(extended_f(L) - 1.0) <= 1e-7
+    assert abs(eigentime_spectral(L) - 1.0) <= 1e-7
 
 
 def test_spectrum_split_multiplicity():
@@ -97,7 +96,7 @@ def test_find_counterexample_reports_each_hamiltonian_f():
 def test_find_counterexample_convergence_to_reducible_value():
     g = triangle_leaf_graph()
     L_r = build_cycle_tree_generator(g, Cycle([0, 1, 2]), [(3, 0)], 10.0)
-    target = extended_f(L_r)
+    target = eigentime_spectral(L_r)
     from fastchain.experiments import unit_rate_generator
 
     L_g = unit_rate_generator(g)

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from fastchain.generator import (
     NotIrreducible,
     ProbabilityVector,
     ZeroGenerator,
+    _require_invariant,
     _require_irreducible,
     combine,
     cycle_generator,
@@ -40,6 +43,32 @@ def test_generator_validation():
         Generator([[0.0, 1.0], [1.0, 0.0]])  # rows must sum to zero
     with pytest.raises(ValueError):
         Generator([[1.0, -1.0], [1.0, -1.0]])  # negative off-diagonal
+
+
+# every comparison with NaN is False, so checks written as x < tol let NaN
+# (and an inf - inf) through
+@pytest.mark.parametrize("weights", [[np.nan, 0.5], [0.25, np.nan, 0.75]])
+def test_probability_vector_rejects_non_finite(weights):
+    with pytest.raises(ValueError, match="finite"):
+        ProbabilityVector(weights)
+
+
+@pytest.mark.parametrize("rates", [[[-np.inf, np.inf], [1.0, -1.0]],
+                                   [[np.nan, np.nan], [1.0, -1.0]]])
+def test_generator_rejects_non_finite(rates):
+    with pytest.raises(ValueError, match="finite"):
+        Generator(rates)
+
+
+def test_cycle_decomposition_rejects_non_finite():
+    with pytest.raises(ValueError, match="finite"):
+        CycleDecomposition([(Cycle([0, 1]), np.nan)])
+
+
+def test_invariance_check_fails_on_nan_residual():
+    L = SimpleNamespace(rates=np.array([[np.nan, np.nan], [1.0, -1.0]]))
+    with pytest.raises(NotInvariant):
+        _require_invariant(L, ProbabilityVector.uniform(2))
 
 
 def test_cycle_generator_uniform(pi3):
