@@ -2,7 +2,9 @@
 
 The standard encoder's float formatting is not configurable, so reports are
 rendered by this small recursive writer instead.  Identical inputs produce
-byte-identical output.
+byte-identical output.  A float64 array of one or two dimensions is written
+a row at a time, one ``%`` format per row, in the bytes its nested list
+would give entry by entry.
 """
 
 from __future__ import annotations
@@ -22,19 +24,32 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+_ESCAPES = {ord('"'): '\\"', ord("\\"): "\\\\", **{c: f"\\u{c:04x}" for c in range(0x20)}}
+
+
 def _escape(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+    return '"' + s.translate(_ESCAPES) + '"'
+
+
+def _block(items: list, indent: int) -> str:
+    """A non-empty list at ``indent`` whose items are already rendered."""
+    pad = "  " * (indent + 1)
+    return "[\n" + pad + (",\n" + pad).join(items) + "\n" + "  " * indent + "]"
+
+
+def _render_floats(a: np.ndarray, indent: int, pieces: list):
+    """A non-empty 1-D or 2-D float64 array in the bytes of its nested list,
+    one ``%`` format per row.  The finiteness check and ``_fmt_float``'s
+    whole-number rule run once over the whole array, and each entry takes
+    the format that rule picks for it."""
+    if not np.isfinite(a).all():
+        raise ValueError("reports must contain finite numbers only")
+    fmts = np.where((a == np.trunc(a)) & (np.abs(a) < 1e16), "%.1f", "%.17g").tolist()
+    if a.ndim == 1:
+        pieces.append(_block(fmts, indent) % tuple(a.tolist()))
+    else:
+        rows = [_block(f, indent + 1) % tuple(v) for f, v in zip(fmts, a.tolist())]
+        pieces.append(_block(rows, indent))
 
 
 def _render(obj, indent: int, pieces: list):
@@ -52,7 +67,10 @@ def _render(obj, indent: int, pieces: list):
     elif isinstance(obj, str):
         pieces.append(_escape(obj))
     elif isinstance(obj, np.ndarray):
-        _render(obj.tolist(), indent, pieces)
+        if obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
+            _render_floats(obj, indent, pieces)
+        else:
+            _render(obj.tolist(), indent, pieces)
     elif isinstance(obj, dict):
         if not obj:
             pieces.append("{}")

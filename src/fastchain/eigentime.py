@@ -72,9 +72,9 @@ class Spectrum:
             raise SpectrumAmbiguous(f"reciprocal sum has imaginary part {s.imag!r}")
         return float(s.real)
 
-    def to_json(self) -> list:
+    def to_json(self) -> np.ndarray:
         vals = sorted(self.values, key=lambda z: (z.real, z.imag))
-        return [[float(z.real), float(z.imag)] for z in vals]
+        return np.array([[z.real, z.imag] for z in vals], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,11 @@ class HittingReport:
 
     def to_json(self) -> dict:
         return {
-            "expectations": self.expectations.tolist(),
-            "second_moments": self.second_moments.tolist(),
+            "expectations": self.expectations,
+            "second_moments": self.second_moments,
             "kemeny": self.kemeny,
             "f_value": self.f_value,
-            "h_matrix": self.h.tolist(),
+            "h_matrix": self.h,
         }
 
 
@@ -335,18 +335,17 @@ def simulate_hitting(L: Generator, x: int, y: int, samples: int, seed: int) -> S
     cum[:, -1] = 1.0
 
     stream = RandomStream(seed)
-    state = np.full(samples, x, dtype=np.int64)
     total = np.zeros(samples)
-    active = np.ones(samples, dtype=bool)
-    while active.any():
-        idx = np.nonzero(active)[0]
-        s = state[idx]
-        hold = stream.exponential(len(idx)) / rates[s]
-        total[idx] += hold
-        u = stream.uniform(len(idx))
-        nxt = (cum[s] < u[:, None]).sum(axis=1)
-        state[idx] = nxt
-        active[idx] = nxt != y
+    idx = np.arange(samples)
+    s = np.full(samples, x)
+    while idx.size:
+        # one draw per step: k holding times, then k jump uniforms
+        k = idx.size
+        u = stream.uniform(2 * k)
+        total[idx] += -np.log1p(-u[:k]) / rates[s]
+        s = (cum[s] < u[k:, None]).sum(axis=1)
+        running = s != y
+        idx, s = idx[running], s[running]
     m1 = float(total.mean())
     m2 = float((total ** 2).mean())
     var1 = float(total.var(ddof=1)) if samples > 1 else 0.0

@@ -83,8 +83,8 @@ class ProbabilityVector:
     def __getitem__(self, i: int) -> float:
         return float(self.weights[i])
 
-    def to_json(self) -> list:
-        return [float(p) for p in self.weights]
+    def to_json(self) -> np.ndarray:
+        return self.weights
 
     @classmethod
     def uniform(cls, n: int) -> "ProbabilityVector":

@@ -119,6 +119,22 @@ def test_optimize_output_is_pinned(tmp_path, capsys, graph, pi, seed, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_eval_output_is_pinned(tmp_path, capsys):
+    """``eval --derivatives --second`` is pinned byte for byte on a fixed
+    5-state cycle mixture (input in eval_k5_input.json): the E, second
+    moment and h matrices, the spectrum, pi and the per-cycle derivatives,
+    including the 0.0 and -0.0 entries the whole-number rule writes.  Like
+    the optimize goldens, the bytes hold the last bits of LAPACK results
+    and belong to one numpy/OpenBLAS build."""
+    inputs = json.loads((GOLDEN / "eval_k5_input.json").read_text())
+    gpath = write(tmp_path, "g.json", inputs["generator"])
+    ppath = write(tmp_path, "pi.json", inputs["pi"])
+    code, out, _ = run_cli(["eval", "--generator", gpath, "--pi", ppath,
+                            "--derivatives", "--second"], capsys)
+    assert code == 0
+    assert out == (GOLDEN / "eval_k5_derivatives_second.json").read_text()
+
+
 def test_dp_command(tmp_path, capsys):
     gpath = write(tmp_path, "k4.json", complete_graph(4).to_json())
     code, out, _ = run_cli(["dp", "--graph", gpath, "--mode", "discrete"], capsys)

@@ -210,13 +210,25 @@ def test_derivative_report(uniform_cycle3, pi3):
 
 
 def test_h_cross_equals_direct_solves():
-    # exercised through the check flag; also spot-check the pure value
+    """h_cross(kern, A, B), assembled from h and E over the arcs, against
+    the route its docstring names: sum_y pi(y) pi[Psi_y] with L psi = L_A phi_y
+    and L Psi = L_B psi_y, each solved by numpy with the solution pinned at
+    y.  Random pairs on K3-K5, A = B included.  Swapping A and B
+    moves the value by at least 1.9% on the distinct pairs, so the test
+    sees the order of the chain."""
     stream = RandomStream(307)
-    s = stream.spawn(0)
-    pi = random_pi(s, 4)
-    L, cycles, _ = random_member(complete_graph(4), pi, s)
-    val = h_cross(hitting_kernel(L, pi), cycles[1], cycles[4])
-    assert np.isfinite(val)
+    for t in range(9):
+        s = stream.spawn(t)
+        n = 3 + t % 3
+        pi = random_pi(s, n)
+        L, cycles, _ = random_member(complete_graph(n), pi, s)
+        kern = hitting_kernel(L, pi)
+        picks = (s.uniform(6) * len(cycles)).astype(int)
+        pairs = [(cycles[i], cycles[j]) for i, j in zip(picks[::2], picks[1::2])]
+        for ca, cb in pairs + [(cycles[-1], cycles[-1])]:
+            ra, rb = cycle_generator(pi, ca).rates, cycle_generator(pi, cb).rates
+            want = anchored_mean_psi_cross(L.rates, pi.weights, ra, rb)
+            assert abs(h_cross(kern, ca, cb) - want) <= 1e-10 * abs(want)
 
 
 def test_chained_term_direct_route_matches_double_solve_oracle():

@@ -234,6 +234,35 @@ def test_simulate_hitting_deterministic(uniform_cycle3):
     assert c.mean != a.mean
 
 
+def _dense_rates(n, seed):
+    """Irreducible generator with every off-diagonal rate in [0.05, 1.05)."""
+    R = RandomStream(seed).uniform(n * n).reshape(n, n) ** 2 + 0.05
+    np.fill_diagonal(R, 0.0)
+    np.fill_diagonal(R, -R.sum(axis=1))
+    return R
+
+
+@pytest.mark.parametrize("n, x, y, samples, seed, want", [
+    (5, 0, 3, 300, 11, ("0x1.2766b63ab6e89p+1", "0x1.3269ee4f7ddccp+3",
+                        "0x1.e84d0b8dcefe5p-4", "0x1.0491285852fc7p+0")),
+    (6, 2, 5, 257, 12, ("0x1.a9d801b0d2b17p+1", "0x1.8737faa1d1c3fp+4",
+                        "0x1.d441e51cc3ad0p-3", "0x1.df1f4378d9176p+1")),
+    (7, 6, 0, 400, 13, ("0x1.7e85bdd792948p+1", "0x1.4a9ee30da7ebdp+4",
+                        "0x1.5f318cb21e71ep-3", "0x1.33b16598764cfp+1")),
+    (5, 4, 1, 1, 14, ("0x1.100c56e6868cdp-1", "0x1.211a394221079p-2", "0x0.0p+0", "0x0.0p+0")),
+])
+def test_simulate_hitting_is_pinned(n, x, y, samples, seed, want):
+    """The exact reports of the stream's draw order: at each step, the
+    holding times of the paths still running, then their jump uniforms,
+    paths in index order.  On 5-7 states the paths stop at different steps,
+    so a change of which draw feeds which path moves these bits."""
+    L = Generator(_dense_rates(n, 230 + n))
+    rep = simulate_hitting(L, x, y, samples, seed)
+    got = (rep.mean, rep.second_moment, rep.std_error, rep.second_moment_std_error)
+    assert got == tuple(float.fromhex(h) for h in want)
+    assert rep.samples == samples
+
+
 def test_simulate_matches_analytic_small(uniform_cycle3, random_walk3, pi3):
     rep = simulate_hitting(uniform_cycle3, 0, 2, 200_000, seed=21)
     assert abs(rep.mean - 2.0) <= 4 * rep.std_error

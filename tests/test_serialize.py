@@ -1,0 +1,96 @@
+"""The float-array path of ``dumps`` against its oracle: the same array as
+nested lists, which renders entry by entry through ``_fmt_float``."""
+
+import math
+
+import numpy as np
+import pytest
+
+from fastchain._serialize import _escape, dumps
+from fastchain.rng import RandomStream
+
+SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -7.0, 12345.0, 9999999999999998.0, -9999999999999998.0,
+           1e16, -1e16, 1.5e16, -1.5e16, 2.0 ** 53, 2.0 ** 53 + 2, 1e300, -1e300, 1e-300,
+           5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.1, -0.1, 0.5, 1 / 3,
+           1.7976931348623157e308]
+
+
+def _random_17_digit(stream, size):
+    """Signed values from 1e-22 to 1e10, where a random double is almost
+    never whole (SPECIAL holds the large whole ones)."""
+    sign = np.where(stream.uniform(size) < 0.5, -1.0, 1.0)
+    return sign * (stream.uniform(size) + 0.01) * 10.0 ** (stream.integers(size, 30) - 20.0)
+
+
+def _cases():
+    stream = RandomStream(11)
+    special = np.array(SPECIAL)
+    mixed = special[stream.integers(36, len(SPECIAL))]
+    mixed[::3] = _random_17_digit(stream, 12)
+    noise = _random_17_digit(stream, 30)
+    assert not np.any((noise == np.trunc(noise)) & (np.abs(noise) < 1e16))
+    return [special, special.reshape(9, 3), mixed, mixed.reshape(6, 6), noise, noise.reshape(5, 6),
+            noise[:1], noise[:1].reshape(1, 1), np.array([[0.0], [-0.0]]), np.zeros((2, 3))]
+
+
+CASES = _cases()
+
+
+def _nest(obj, depth):
+    for _ in range(depth):
+        obj = [obj]
+    return obj
+
+
+@pytest.mark.parametrize("a", CASES)
+def test_float_array_renders_as_its_list(a):
+    """Byte for byte at indents 0-3, alone and beside other values."""
+    for depth in range(4):
+        assert dumps(_nest(a, depth)) == dumps(_nest(a.tolist(), depth))
+    assert dumps({"k": a, "z": [a, 1.5]}) == dumps({"k": a.tolist(), "z": [a.tolist(), 1.5]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("shape", [(4,), (2, 2)])
+def test_float_array_rejects_non_finite(bad, shape):
+    a = np.arange(4.0)
+    a[2] = bad
+    a = a.reshape(shape)
+    with pytest.raises(ValueError, match="finite numbers only") as from_array:
+        dumps(a)
+    with pytest.raises(ValueError, match="finite numbers only") as from_list:
+        dumps(a.tolist())
+    assert str(from_array.value) == str(from_list.value)
+
+
+@pytest.mark.parametrize("a", [np.arange(6).reshape(2, 3), np.array([True, False]), np.zeros(0),
+                               np.zeros((0, 3)), np.zeros((2, 0)), np.array(2.5),
+                               np.arange(8.0).reshape(2, 2, 2), np.array([0.5, 2.0], dtype=np.float32)])
+def test_other_arrays_render_as_their_list(a):
+    assert dumps({"a": a}) == dumps({"a": a.tolist()})
+
+
+def test_escape_matches_per_character_rule():
+    """Escapes of the per-character rule: quote, backslash and the control
+    characters below 0x20 as \\u00XX; everything else as itself."""
+    def oracle(s):
+        out = []
+        for ch in s:
+            if ch == '"':
+                out.append('\\"')
+            elif ch == "\\":
+                out.append("\\\\")
+            elif ord(ch) < 0x20:
+                out.append(f"\\u{ord(ch):04x}")
+            else:
+                out.append(ch)
+        return '"' + "".join(out) + '"'
+
+    stream = RandomStream(12)
+    alphabet = [chr(c) for c in range(301)] + ["\U0001f600", " ", "\x7f"]
+    for _ in range(500):
+        k = int(stream.integers(1, 12)[0])
+        s = "".join(alphabet[i] for i in stream.integers(k, len(alphabet)))
+        assert _escape(s) == oracle(s)
+    assert _escape("") == '""'
+    assert dumps({'a"\\\n\x00': 'é\t'}) == '{\n  "a\\"\\\\\\u000a\\u0000": "é\\u0009"\n}\n'
