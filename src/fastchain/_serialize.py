@@ -16,10 +16,15 @@ import numpy as np
 __all__ = ["dumps"]
 
 
+# Below 1e17, %.17g writes a whole float without a point or an exponent, which
+# a JSON reader takes for an integer; those values are written with "%.1f".
+WHOLE_BELOW = 1e17
+
+
 def _fmt_float(x: float) -> str:
     if math.isnan(x) or math.isinf(x):
         raise ValueError("reports must contain finite numbers only")
-    if x == int(x) and abs(x) < 1e16:
+    if x == int(x) and abs(x) < WHOLE_BELOW:
         return f"{x:.1f}"
     return f"{x:.17g}"
 
@@ -44,7 +49,7 @@ def _render_floats(a: np.ndarray, indent: int, pieces: list):
     the format that rule picks for it."""
     if not np.isfinite(a).all():
         raise ValueError("reports must contain finite numbers only")
-    fmts = np.where((a == np.trunc(a)) & (np.abs(a) < 1e16), "%.1f", "%.17g").tolist()
+    fmts = np.where((a == np.trunc(a)) & (np.abs(a) < WHOLE_BELOW), "%.1f", "%.17g").tolist()
     if a.ndim == 1:
         pieces.append(_block(fmts, indent) % tuple(a.tolist()))
     else:

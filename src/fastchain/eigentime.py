@@ -182,7 +182,8 @@ class HittingKernel:
 
     def h_cycle(self, cycle: Cycle) -> float:
         """H_A: the average of h over the arcs of the cycle."""
-        return float(_CycleArcs([cycle]).means(self.h)[0])
+        v = cycle.vertices
+        return float(self.h[v, v[1:] + v[:1]].mean())
 
     def report(self) -> HittingReport:
         return HittingReport(

@@ -102,16 +102,19 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 ])
 def test_optimize_output_is_pinned(tmp_path, capsys, graph, pi, seed, golden):
     """The optimizer's report is pinned byte for byte.  Its evaluation
-    shortcuts (one rates product per point, memoized irreducibility, stacked
-    presample inverses) give the bits of the plain per-point route, so they
-    cannot move it; a change of the line search or of the iteration can.
+    shortcuts (one broadcast rates product per presample, memoized
+    irreducibility, stacked presample inverses) give the bits of the plain
+    per-point route, so they cannot move it; a change of the line search or
+    of the iteration can.
 
     The golden bytes hold the last bits of LAPACK results, so they belong to
     one numpy/OpenBLAS build: after a change of that build, recapture them
     with this command and check that only last bits moved (the same f_min
     to about 1e-15, ``converged`` still true).  The K4 run lands on a
-    Hamiltonian vertex with a gap of 0; the S2 run stops inside a segment
-    with a gap of 5.7e-11."""
+    Hamiltonian vertex, cycle (0, 1, 2, 3), with F exactly 1.4 and a gap of
+    0; every Hamiltonian cycle has that F, and which one wins the tie
+    between starts follows the line search's last bits.  The S2 run stops
+    inside a segment at F = 16/9 within 1e-15 and a gap of 1.05e-11."""
     gpath = write(tmp_path, "g.json", graph.to_json())
     ppath = write(tmp_path, "pi.json", pi)
     code, out, _ = run_cli(["optimize", "--graph", gpath, "--pi", ppath, "--seed", seed], capsys)

@@ -4,13 +4,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from fastchain import optimizer
 from fastchain.eigentime import hitting_kernel, inverse_speed
 from fastchain.experiments import triangle_leaf_graph
 from fastchain.generator import Generator, ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, _support_strongly_connected, complete_graph, segment_graph
 from fastchain.optimizer import (
+    BISECT_TOL,
+    PRESAMPLES,
     CyclePolytope,
     TooManyCycles,
+    _line_search,
+    _zeroin,
     brute_force_minimize,
     epsilon_neighborhood,
     f_wedge,
@@ -331,7 +336,8 @@ def test_irreducibility_memo_follows_underflow(tiny_first):
 @pytest.mark.parametrize("n", [4, 5])
 def test_polytope_h_values_are_the_kernels_h_cycle(n):
     """f_and_h's H_A equal the kernel's h_cycle of the same mixture exactly:
-    both invert the same Pi - L once and take the same grouped mean."""
+    both invert the same Pi - L once, and the grouped mean is each cycle's
+    own mean."""
     stream = RandomStream(500 + n)
     poly = CyclePolytope(complete_graph(n), random_pi(stream, n))
     for t in range(3):
@@ -363,3 +369,143 @@ def test_stationarity_check_is_the_per_cycle_loop():
             assert np.array_equal(station.below, below)
             assert station.max_gap == gap
         assert not stationarity_check(sparse, pi, cycles).below.all()
+
+
+def bisect(f, a, b):
+    """The bisection the root finder replaced: [a, b] halved on the sign of
+    f down to BISECT_TOL.  Returns the midpoint and the evaluations made."""
+    count = 0
+    while b - a > BISECT_TOL:
+        mid = 0.5 * (a + b)
+        count += 1
+        if f(mid) > 0:
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b), count
+
+
+def bisection_line_search(poly, point, direction, lo, hi):
+    """The line search by bisection on the sign of the slope, the oracle of
+    the root finder: the same presample and endpoint returns, then the
+    bracket next to the presample minimum bisected and F taken at its
+    midpoint."""
+    ts = np.linspace(lo, hi, PRESAMPLES)
+    vals = poly.f_values(point(ts[:, None]))
+    d_rates = poly.rates(direction)
+
+    def slope(t):
+        return poly.slope(point(t), d_rates)
+
+    k = int(np.argmin(vals))
+    if k == 0 and slope(lo) >= 0:
+        return lo, float(vals[0])
+    if k == PRESAMPLES - 1 and slope(hi) <= 0:
+        return hi, float(vals[-1])
+    t, _ = bisect(slope, float(ts[max(k - 1, 0)]), float(ts[min(k + 1, PRESAMPLES - 1)]))
+    return t, poly.f_value(point(t))
+
+
+ROOT = 0.5 + 1 / 3 * 2 ** -6  # inside a bracket of two presample intervals, off its grid
+
+
+@pytest.mark.parametrize("name, f", [
+    ("polynomial", lambda t: (t - ROOT) * (1.0 + (t - 0.3) ** 2) + 0.2 * (t - ROOT) ** 3),
+    ("steep tanh", lambda t: np.tanh(400.0 * (t - ROOT))),
+    ("flat near root", lambda t: (t - ROOT) ** 3 + 1e-4 * (t - ROOT)),
+])
+def test_zeroin_closes_bracket_in_few_evaluations(name, f):
+    """Brent's method closes a presample bracket [15/32, 17/32] on the root
+    to BISECT_TOL in at most 14 evaluations, the two ends included, where
+    bisection needs 30: on a smooth simple root, on a steep step, and on a
+    root where f is 30 times flatter than at the bracket ends."""
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return float(f(t))
+
+    a, b = 15 / 32, 17 / 32
+    t = _zeroin(counted, a, counted(a), b, counted(b), BISECT_TOL)
+    assert abs(t - ROOT) <= BISECT_TOL, name
+    assert len(calls) <= 14 < 29 <= bisect(f, a, b)[1], (name, len(calls))
+
+
+class _Segment:
+    """The parts of CyclePolytope that ``_line_search`` reads, for a scalar
+    F along a segment whose point is t itself (one weight)."""
+
+    def __init__(self, f, df):
+        self.f, self.df = f, df
+
+    def f_values(self, ws):
+        return np.array([self.f(w[0]) for w in ws])
+
+    def f_value(self, w):
+        return self.f(w[0])
+
+    def rates(self, direction):
+        return direction
+
+    def slope(self, w, d_rates):
+        return self.df(w[0]) * d_rates[0]
+
+
+def test_line_search_without_sign_change_returns_presample_minimum():
+    """With u = 32 (t - 1/2) - 0.1 and F = u^2 - 1.4 u^3 + 0.5 u^4, the
+    presample t = 1/2 holds the least F, but F falls at both ends of the
+    bracket [15/32, 17/32]: its slope has two roots inside (a minimum near
+    t = 1/2 and a maximum past it) and another past 17/32.  With no sign
+    change to close, the search returns the presample minimum and its F
+    rather than either root."""
+    def f(t):
+        u = 32 * (t - 0.5) - 0.1
+        return u * u - 1.4 * u ** 3 + 0.5 * u ** 4
+
+    def df(t):
+        u = 32 * (t - 0.5) - 0.1
+        return 32 * (2 * u - 4.2 * u * u + 2 * u ** 3)
+
+    seg = _Segment(f, df)
+    assert df(15 / 32) < 0 and df(17 / 32) < 0
+    assert _line_search(seg, lambda t: t * np.ones(1), np.ones(1), 0.0, 1.0) == (0.5, f(0.5))
+
+
+LINE_SEARCH_CASES = {
+    "K4": (complete_graph(4), ProbabilityVector(np.arange(1, 5) / 10)),
+    "K5": (complete_graph(5), ProbabilityVector(np.arange(1, 6) / 15)),
+    "S2": (segment_graph(2), ProbabilityVector.uniform(3)),
+    "S3": (segment_graph(3), ProbabilityVector.uniform(segment_graph(3).n)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LINE_SEARCH_CASES))
+def test_line_search_matches_bisection_with_few_slopes(monkeypatch, name):
+    """Along a whole multi-start run, every line search returns a t within
+    BISECT_TOL of the bisection oracle's on the same segment.  The root
+    finder makes few slope evaluations: on K5 with pi = (1..5)/15 at most
+    8 per search on average, the early endpoint returns included (bisection
+    made about 15)."""
+    g, pi = LINE_SEARCH_CASES[name]
+    searches, slopes = [], [0]
+    real_slope = CyclePolytope.slope
+
+    def counted_slope(self, w, d_rates):
+        slopes[0] += 1
+        return real_slope(self, w, d_rates)
+
+    def checked_search(poly, point, direction, lo, hi):
+        before = slopes[0]
+        t, f = _line_search(poly, point, direction, lo, hi)
+        count = slopes[0] - before
+        searches.append((t, bisection_line_search(poly, point, direction, lo, hi)[0], count))
+        return t, f
+
+    monkeypatch.setattr(CyclePolytope, "slope", counted_slope)
+    monkeypatch.setattr(optimizer, "_line_search", checked_search)
+    report = optimizer.frank_wolfe_minimize(g, pi, seed=0)
+    assert report.converged
+    worst = max(abs(t - t_old) for t, t_old, _ in searches)
+    assert worst <= BISECT_TOL, worst
+    if name == "K5":
+        assert np.mean([count for _, _, count in searches]) <= 8.0

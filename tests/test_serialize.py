@@ -1,6 +1,7 @@
 """The float-array path of ``dumps`` against its oracle: the same array as
 nested lists, which renders entry by entry through ``_fmt_float``."""
 
+import json
 import math
 
 import numpy as np
@@ -94,3 +95,18 @@ def test_escape_matches_per_character_rule():
         assert _escape(s) == oracle(s)
     assert _escape("") == '""'
     assert dumps({'a"\\\n\x00': 'é\t'}) == '{\n  "a\\"\\\\\\u000a\\u0000": "é\\u0009"\n}\n'
+
+
+LARGE_WHOLE = [1e16, 1.5e16, -1e16, 9.9e16, 1e17, 9999999999999998.0]
+
+
+@pytest.mark.parametrize("x", LARGE_WHOLE)
+def test_large_whole_floats_read_back_as_floats(x):
+    """A whole float of 16 or 17 digits is written with a point (or an
+    exponent), so ``json.loads`` reads it back as a float of the same value,
+    alone, in a list and inside 1-D and 2-D arrays."""
+    def back(obj):
+        return json.loads(dumps(obj))
+
+    for got in (back(x), back([x])[0], back(np.array([x, 0.5]))[0], back(np.array([[0.5, x]]))[0][1]):
+        assert type(got) is float and got == x
