@@ -187,7 +187,6 @@ def _cmd_discrete(args) -> int:
     trace = float(np.trace(kern.Z))
     spectral = discrete_eigentime_spectral(K)
     L, k = to_generator(K, pi)
-    back, _ = to_kernel(L)
     doc = {
         "frak_f": value,
         "hunter_trace": trace,
@@ -199,7 +198,7 @@ def _cmd_discrete(args) -> int:
             # eval's kemeny_spread; hitting_vs_spectral is the independent check
             "hunter_vs_frak_f": abs(trace - (1.0 + value)),
             "generator_value_ratio": abs(inverse_speed(L, pi) - value / k),
-            "roundtrip_if_k0": float(np.abs(back.entries - K.entries).max()
+            "roundtrip_if_k0": float(np.abs(to_kernel(L)[0].entries - K.entries).max()
                                      if np.min(np.diag(K.entries)) < 1e-12 else 0.0),
         },
     }

@@ -37,9 +37,9 @@ from .generator import (
     NotInvariant,
     NotNormalized,
     ProbabilityVector,
+    _CycleArcs,
     _check_member,
     combine,
-    cycle_generator,
 )
 from .graph import Cycle
 
@@ -59,9 +59,7 @@ class DirectionInvalid(ValueError):
 
 
 def _as_direction(direction, pi: ProbabilityVector) -> Generator:
-    """Coerce a Cycle / Generator / CycleDecomposition into a validated generator."""
-    if isinstance(direction, Cycle):
-        return cycle_generator(pi, direction)
+    """Coerce a Generator / CycleDecomposition into a validated generator."""
     if isinstance(direction, CycleDecomposition):
         direction = combine(direction, pi)
     if not isinstance(direction, Generator):
@@ -89,7 +87,7 @@ def psi_solve(kern: HittingKernel, cycle: Cycle, y: int) -> np.ndarray:
     than the rounding allowance of a quantity of order M(L)^2 (see
     :func:`_rounding_tol`).  The fundamental-matrix value is returned.
     """
-    g = kern.Z @ (cycle_generator(kern.pi, cycle).rates @ kern.E[:, y])
+    g = kern.Z @ (_CycleArcs([cycle]).rates(kern.pi.weights)[0] @ kern.E[:, y])
     psi = g[y] - g
     err = float(np.abs(psi - _psi_closed_form(kern.E, cycle, y)).max())
     if err > _rounding_tol(kern, 2):
@@ -183,8 +181,7 @@ def second_directional(kern: HittingKernel, cycle_a: Cycle,
     """
     if cycle_b is None:
         cycle_b = cycle_a
-    rates_a = cycle_generator(kern.pi, cycle_a).rates
-    rates_b = cycle_generator(kern.pi, cycle_b).rates
+    rates_a, rates_b = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
     cross_ba = _mean_psi_cross(kern, rates_a, rates_b)
     cross_ab = _mean_psi_cross(kern, rates_b, rates_a)
     assembled = h_cross(kern, cycle_a, cycle_b)

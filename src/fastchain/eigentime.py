@@ -114,38 +114,6 @@ def _perturbation_kernel(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
     return -(np.diag(W)[None, :] - W).T
 
 
-class _CycleArcs:
-    """The arcs of a list of cycles, grouped by cycle length once, for
-    averaging a matrix over each cycle's arcs (H_A for the matrix h).
-
-    Each group holds the positions of its k cycles in the list and two
-    (k, length) index arrays of arc tails and heads, so one gather and one
-    row-wise mean serve all cycles of a length.  A row mean sums in the
-    same order as the cycle's own ``mean()`` (pairwise from 8 terms on), so
-    the values are bit-equal to the per-cycle route; ``np.add.reduceat``
-    over the concatenated arcs rounds differently and is not.
-    """
-
-    def __init__(self, cycles):
-        by_length = {}
-        for k, c in enumerate(cycles):
-            by_length.setdefault(len(c), []).append((k, c.vertices))
-        self.m = sum(len(group) for group in by_length.values())
-        self.groups = [
-            (np.array([k for k, _ in group]),
-             np.array([v for _, v in group]),
-             np.array([v[1:] + v[:1] for _, v in group]))
-            for group in by_length.values()
-        ]
-
-    def means(self, M: np.ndarray) -> np.ndarray:
-        """For each cycle, the mean of M over its arcs."""
-        out = np.empty(self.m)
-        for pos, tails, heads in self.groups:
-            out[pos] = M[tails, heads].mean(axis=1)
-        return out
-
-
 @dataclass(frozen=True, eq=False)
 class HittingKernel:
     """Every hitting-time functional of one (L, pi), from one inverse of Pi - L.

@@ -148,6 +148,50 @@ class CycleDecomposition:
         return [{"cycle": c.to_json(), "weight": w} for c, w in self.terms]
 
 
+class _CycleArcs:
+    """The arcs of a list of cycles, grouped by length once: the one route
+    from cycles to their rates and to means over their arcs (H_A).
+
+    Each group holds the positions of its k cycles in the list and two
+    (k, length) index arrays of arc tails and heads, so one gather and one
+    row-wise mean, or one scatter, serve all cycles of a length.  A row mean
+    sums in the order of the cycle's own ``mean()`` (pairwise from 8 terms
+    on), so the means are bit-equal to it; ``np.add.reduceat`` is not.
+    """
+
+    def __init__(self, cycles):
+        by_length = {}
+        for k, c in enumerate(cycles):
+            by_length.setdefault(len(c), []).append((k, c.vertices))
+        self.m = sum(len(group) for group in by_length.values())
+        self.groups = []
+        for group in by_length.values():
+            tails = np.array([v for _, v in group])
+            heads = np.concatenate((tails[:, 1:], tails[:, :1]), axis=1)
+            self.groups.append((np.array([k for k, _ in group]), tails, heads))
+
+    def means(self, M: np.ndarray) -> np.ndarray:
+        """For each cycle, the mean of M over its arcs."""
+        out = np.empty(self.m)
+        for pos, tails, heads in self.groups:
+            out[pos] = M[tails, heads].mean(axis=1)
+        return out
+
+    def rates(self, p: np.ndarray) -> np.ndarray:
+        """The (m, n, n) stack of cycle rates for the weights p: 1 / (len p(a))
+        at arc (a, b), its negative at (a, a); the bits of a loop over the
+        arcs.  A vertex outside 0..n-1 raises ValueError (numpy would wrap it)."""
+        n = len(p)
+        out = np.zeros((self.m, n, n))
+        for pos, tails, heads in self.groups:
+            if tails.min() < 0 or tails.max() >= n:
+                raise ValueError("cycle vertex out of range")
+            r = 1.0 / (tails.shape[1] * p[tails])
+            out[pos[:, None], tails, heads] = r
+            out[pos[:, None], tails, tails] = -r
+        return out
+
+
 def cycle_generator(pi: ProbabilityVector, cycle: Cycle) -> Generator:
     """Unit-speed generator tracing one cycle, normalized and pi-invariant.
 
@@ -156,17 +200,7 @@ def cycle_generator(pi: ProbabilityVector, cycle: Cycle) -> Generator:
     stationary flow of the result puts mass 1/len(cycle) on every cycle arc,
     so the equilibrium jump rate is exactly 1.
     """
-    n = pi.n
-    verts = cycle.vertices
-    if any(v >= n for v in verts):
-        raise ValueError("cycle vertex out of range")
-    rates = np.zeros((n, n))
-    m = len(verts)
-    for a, b in cycle.arcs():
-        rate = 1.0 / (m * pi[a])
-        rates[a, b] = rate
-        rates[a, a] = -rate
-    return Generator(rates)
+    return Generator(_CycleArcs([cycle]).rates(pi.weights)[0])
 
 
 def support_graph(L: Generator) -> DirectedGraph:
@@ -305,6 +339,6 @@ def decompose_into_cycles(L: Generator, pi: ProbabilityVector) -> CycleDecomposi
 def combine(d: CycleDecomposition, pi: ProbabilityVector) -> Generator:
     """Barycentric mixture of cycle generators; normalized and pi-invariant."""
     rates = np.zeros((pi.n, pi.n))
-    for cyc, w in d.terms:
-        rates += w * cycle_generator(pi, cyc).rates
+    for (_, w), R in zip(d.terms, _CycleArcs([c for c, _ in d.terms]).rates(pi.weights)):
+        rates += w * R
     return Generator(rates)

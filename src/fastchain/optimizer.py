@@ -34,8 +34,8 @@ from math import copysign, isfinite, log
 
 import numpy as np
 
-from .eigentime import _CycleArcs, _fundamental, _perturbation_kernel, hitting_kernel
-from .generator import Generator, ProbabilityVector, cycle_generator
+from .eigentime import _fundamental, _perturbation_kernel, hitting_kernel
+from .generator import Generator, ProbabilityVector, _CycleArcs
 from .graph import DirectedGraph, _support_strongly_connected, enumerate_simple_cycles
 from .rng import RandomStream
 
@@ -91,7 +91,7 @@ class CyclePolytope:
     """Cycle-weight parametrization of the compatible normalized generators.
 
     Every F evaluation forms the mixture's rates by one product of the weight
-    vector with the flattened stack of cycle generators, and subtracts them
+    vector with the flattened stack of cycle rates, and subtracts them
     from the rank-one matrix Pi built once.  Off-diagonal rates are sums of
     nonnegative terms, so whether a mixture is irreducible depends only on
     which weights are positive.  The verdict is memoized per support of the
@@ -110,11 +110,13 @@ class CyclePolytope:
         self.graph = g
         self.pi = pi
         self.cycles = tuple(enumerate_simple_cycles(g))
+        if not self.cycles:
+            raise ValueError("graph has no cycle: the polytope is empty")
         n = pi.n
-        self._flat = np.stack([cycle_generator(pi, c).rates.ravel() for c in self.cycles])
+        self._arcs = _CycleArcs(self.cycles)
+        self._flat = self._arcs.rates(pi.weights).reshape(self.m, n * n)
         self._Pi = np.tile(pi.weights, (n, 1))
         self._connected = {}
-        self._arcs = _CycleArcs(self.cycles)
 
     @property
     def m(self) -> int:
@@ -139,8 +141,8 @@ class CyclePolytope:
         would alone.  The rates of all rows are one broadcast product,
         ``ws[:, None, :] @ _flat``: it runs the row product's kernel on each
         row and gives its bits, where a plain ``ws @ _flat`` or ``einsum``
-        rounds differently (the bitwise per-point test pins this).  F stays
-        one ``p @ E_k @ p`` per row for the same reason."""
+        rounds differently (the bitwise per-point test pins this).  F is
+        ``p[None, None, :] @ E @ p[:, None]`` for the same reason."""
         ws = np.asarray(ws, dtype=float)
         n = self.pi.n
         rates = (ws[:, None, :] @ self._flat).reshape(len(ws), n, n)
@@ -150,8 +152,7 @@ class CyclePolytope:
         if keep:
             p = self.pi.weights
             _, E = _fundamental(self._Pi - rates[keep], p)
-            for k, E_k in zip(keep, E):
-                out[k] = float(p @ E_k @ p)
+            out[keep] = (p[None, None, :] @ E @ p[:, None])[:, 0, 0]
         return out
 
     def f_and_h(self, w: np.ndarray) -> tuple:

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from fastchain.eigentime import hitting_kernel
-from fastchain.generator import Generator, ProbabilityVector, cycle_generator
+from fastchain.generator import Generator, ProbabilityVector, _CycleArcs, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, enumerate_simple_cycles, segment_graph
 from fastchain.rng import RandomStream
 
@@ -54,6 +54,19 @@ def random_pi(stream: RandomStream, n: int, spread: float = 0.6) -> ProbabilityV
     return ProbabilityVector(w / w.sum())
 
 
+def cycle_rates_oracle(p: np.ndarray, cycle: Cycle) -> np.ndarray:
+    """Rates of the unit-speed cycle generator by a loop over the arcs:
+    1 / (len * p(a)) at (a, b) and its negative at (a, a)."""
+    n = len(p)
+    rates = np.zeros((n, n))
+    m = len(cycle)
+    for a, b in cycle.arcs():
+        rate = 1.0 / (m * float(p[a]))
+        rates[a, b] = rate
+        rates[a, a] = -rate
+    return rates
+
+
 def random_member(g: DirectedGraph, pi: ProbabilityVector, stream: RandomStream,
                   interior: float = 0.2):
     """Random normalized pi-invariant generator compatible with g, as a cycle
@@ -62,7 +75,7 @@ def random_member(g: DirectedGraph, pi: ProbabilityVector, stream: RandomStream,
     w = stream.simplex(len(cycles))
     w = (1.0 - interior) * w + interior / len(cycles)
     w = w / w.sum()
-    rates = sum(wi * cycle_generator(pi, c).rates for wi, c in zip(w, cycles))
+    rates = sum(wi * R for wi, R in zip(w, _CycleArcs(cycles).rates(pi.weights)))
     return Generator(rates), cycles, w
 
 
@@ -136,10 +149,10 @@ def closure_oracle(rates: np.ndarray) -> bool:
 def f_value_oracle(poly, w: np.ndarray) -> float:
     """F of a cycle mixture by the plain per-point route, which
     ``CyclePolytope.f_value`` must reproduce bit for bit: rates by
-    ``tensordot`` over freshly built cycle generators, the closure above,
+    ``tensordot`` over the arc-loop cycle rates, the closure above,
     ``tile(pi) - rates`` inverted, and ``pi E pi``."""
     p = poly.pi.weights
-    mats = np.stack([cycle_generator(poly.pi, c).rates for c in poly.cycles])
+    mats = np.stack([cycle_rates_oracle(p, c) for c in poly.cycles])
     rates = np.tensordot(w, mats, axes=1)
     if not closure_oracle(rates):
         return np.inf

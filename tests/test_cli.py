@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+import fastchain.cli
 from fastchain.cli import main
+from fastchain.discrete_time import to_kernel
 from fastchain.graph import complete_graph, hypercube_graph, segment_graph
 
 
@@ -225,6 +227,23 @@ def test_discrete_kernel_command(tmp_path, pi3_file, capsys):
     assert abs(doc["hunter_trace"] - 2.0) <= 1e-10
     assert doc["checks"]["hunter_vs_frak_f"] <= 1e-8
     assert doc["checks"]["roundtrip_if_k0"] <= 1e-12
+
+
+@pytest.mark.parametrize("rates, k0, calls", [
+    ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], True, 1),
+    ([[0.5, 0.25, 0.25], [0.25, 0.5, 0.25], [0.25, 0.25, 0.5]], False, 0),
+])
+def test_discrete_kernel_roundtrips_only_a_k0_kernel(tmp_path, pi3_file, capsys, monkeypatch,
+                                                    rates, k0, calls):
+    """``roundtrip_if_k0`` is 0 unless K has a zero diagonal entry, so
+    ``to_kernel`` (and its irreducibility closure) runs only then."""
+    seen = []
+    monkeypatch.setattr(fastchain.cli, "to_kernel", lambda L: seen.append(L) or to_kernel(L))
+    kpath = write(tmp_path, "K.json", {"n": 3, "rates": rates})
+    code, out, _ = run_cli(["discrete", "--kernel", kpath, "--pi", pi3_file], capsys)
+    assert code == 0 and len(seen) == calls
+    roundtrip = json.loads(out)["checks"]["roundtrip_if_k0"]
+    assert roundtrip <= 1e-12 if k0 else roundtrip == 0.0
 
 
 def test_discrete_kernel_command_rejects_reducible_kernel(tmp_path, capsys):

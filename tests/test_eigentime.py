@@ -6,7 +6,6 @@ from numpy.testing import assert_allclose
 
 from fastchain.eigentime import (
     SpectrumAmbiguous,
-    _CycleArcs,
     eigentime_spectral,
     hamiltonian_speed_value,
     hitting_kernel,
@@ -18,7 +17,7 @@ from fastchain.eigentime import (
     spectrum,
 )
 from fastchain.derivatives import psi_solve
-from fastchain.generator import Generator, ProbabilityVector, cycle_generator
+from fastchain.generator import Generator, ProbabilityVector, _CycleArcs, cycle_generator
 from fastchain.graph import Cycle, complete_graph
 from fastchain.rng import RandomStream
 

@@ -13,6 +13,7 @@ from fastchain.generator import (
     NotIrreducible,
     ProbabilityVector,
     ZeroGenerator,
+    _CycleArcs,
     _require_invariant,
     _require_irreducible,
     combine,
@@ -26,7 +27,7 @@ from fastchain.generator import (
 from fastchain.graph import Cycle, DirectedGraph, _support_strongly_connected, complete_graph, segment_graph
 from fastchain.rng import RandomStream
 
-from conftest import random_member, random_pi, strongly_connected_by_search
+from conftest import cycle_rates_oracle, random_member, random_pi, strongly_connected_by_search
 
 
 def test_probability_vector_validation():
@@ -87,6 +88,32 @@ def test_cycle_generator_short_cycle(pi3):
     L = cycle_generator(pi3, Cycle([0, 1]))
     assert_allclose([L.rates[0, 1], L.rates[1, 0]], [1.5, 1.5])
     assert_allclose(L.rates[2], 0.0)
+
+
+@pytest.mark.parametrize("verts", [[-1, 0], [0, -2, 1], [0, 3], [2, 5]])
+def test_cycle_generator_rejects_vertex_out_of_range(pi3, verts):
+    # numpy wraps a negative index, so a check of v >= n alone let [-1, 0]
+    # through as the 2-cycle on vertices 2 and 0
+    with pytest.raises(ValueError, match="out of range"):
+        cycle_generator(pi3, Cycle(verts))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(2, 12), st.integers(1, 30), st.integers(0, 2 ** 32 - 1))
+def test_cycle_rates_are_the_arc_loop(n, count, seed):
+    """One scatter per cycle length gives every cycle's rates with the bits,
+    and the signs of zeros, of a loop over its arcs, in the order the cycles
+    were given; lengths 2..n are mixed and pi spans six decades.
+    ``cycle_generator`` is the one-cycle case."""
+    rng = np.random.default_rng(seed)
+    w = 10.0 ** rng.uniform(-6.0, 0.0, n)
+    pi = ProbabilityVector(w / w.sum())
+    cycles = [Cycle(rng.permutation(n)[:rng.integers(2, n + 1)]) for _ in range(count)]
+    got = _CycleArcs(cycles).rates(pi.weights)
+    want = np.stack([cycle_rates_oracle(pi.weights, c) for c in cycles])
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(cycle_generator(pi, cycles[0]).rates, want[0])
 
 
 def test_cycle_generator_invariants():

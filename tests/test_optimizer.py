@@ -26,6 +26,7 @@ from fastchain.rng import RandomStream
 
 from conftest import (
     closure_oracle,
+    cycle_rates_oracle,
     f_value_oracle,
     random_ham_digraph,
     random_member,
@@ -199,6 +200,12 @@ def test_f_wedge_examples(pi3, s2):
     assert f_wedge(complete_graph(3), pi, seed=4) <= hamiltonian_speed_value(pi) + 1e-10
 
 
+def test_polytope_of_graph_without_cycles_is_refused():
+    # the one strongly connected graph without a cycle is a single vertex
+    with pytest.raises(ValueError, match="no cycle"):
+        CyclePolytope(DirectedGraph(1, []), ProbabilityVector.uniform(1))
+
+
 def test_polytope_fast_path_matches_anchored_solves(pi3):
     """The optimizer's fundamental-matrix route agrees with the public
     anchored-solve operations for F and the per-cycle H values."""
@@ -287,7 +294,7 @@ def test_polytope_evaluations_are_bitwise_the_per_point_route(name, seed):
     stream = RandomStream(seed)
     poly = CyclePolytope(g, random_pi(stream.spawn(0), g.n, spread=0.9))
     m = poly.m
-    mats = np.stack([cycle_generator(poly.pi, c).rates for c in poly.cycles])
+    mats = np.stack([cycle_rates_oracle(poly.pi.weights, c) for c in poly.cycles])
     u = stream.spawn(1).uniform(m + 4)
     w = stream.spawn(2).simplex(m)
     w[u[:m] < 0.4] = 0.0
