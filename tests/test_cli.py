@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -138,6 +139,37 @@ def test_eval_output_is_pinned(tmp_path, capsys):
                             "--derivatives", "--second"], capsys)
     assert code == 0
     assert out == (GOLDEN / "eval_k5_derivatives_second.json").read_text()
+
+
+UNIFORM3 = [1 / 3, 1 / 3, 1 / 3]
+
+
+@pytest.mark.parametrize("args, inputs, golden", [
+    (["s2"], {"--pi": [0.2, 0.3, 0.5]}, "s2_pi235.json"),
+    (["counterexample"], {}, "counterexample_default.json"),
+    (["discrete"], {"--kernel": {"n": 3, "rates": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]},
+                    "--pi": UNIFORM3}, "discrete_kernel_perm3.json"),
+    (["discrete"], {"--kernel": {"n": 3, "rates": [[0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]]},
+                    "--pi": UNIFORM3}, "discrete_kernel_lazy3.json"),
+    (["discrete", "--compare"], {"--graph": complete_graph(3).to_json(), "--pi": UNIFORM3},
+     "discrete_compare_k3_uniform.json"),
+    (["probe-theorem2", "--trials", "5", "--seed", "2"], {"--graph": complete_graph(3).to_json()},
+     "probe_theorem2_k3_trials5_seed2.json"),
+])
+def test_report_output_is_pinned(tmp_path, capsys, args, inputs, golden):
+    """The reports of ``s2``, ``counterexample``, ``discrete --kernel``,
+    ``discrete --compare`` and ``probe-theorem2`` are pinned byte for byte:
+    the generator, kernel weights, measure, graph and cycle they carry, and
+    their checks.  Like the optimize goldens, the bytes hold the last bits
+    of LAPACK results and belong to one numpy/OpenBLAS build: after a change
+    of that build, recapture them with this command and check that only last
+    bits moved."""
+    argv = list(args)
+    for k, (flag, obj) in enumerate(inputs.items()):
+        argv += [flag, write(tmp_path, f"in{k}.json", obj)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_dp_command(tmp_path, capsys):
@@ -344,8 +376,9 @@ def test_dp_budgets_must_be_finite(tmp_path, capsys):
 
 
 def test_selftest_runs():
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-m", "fastchain.cli", "--selftest"],
-                          capture_output=True, text=True)
+                          env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest: PASS" in proc.stdout
 
