@@ -4,16 +4,26 @@ The standard encoder's float formatting is not configurable, so reports are
 rendered by this small recursive writer instead.  Identical inputs produce
 byte-identical output.  A float64 array of one or two dimensions is written
 a row at a time, one ``%`` format per row, in the bytes its nested list
-would give entry by entry.
+would give entry by entry.  Any other object is written as the document its
+``to_json()`` returns; a :class:`Report` dataclass returns its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
-__all__ = ["dumps"]
+__all__ = ["Report", "dumps"]
+
+
+class Report:
+    """Base of the dataclasses whose JSON document is their fields, by name;
+    :func:`dumps` renders the arrays and objects among them itself."""
+
+    def to_json(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 # Below 1e17, %.17g writes a whole float without a point or an exponent, which
@@ -99,6 +109,8 @@ def _render(obj, indent: int, pieces: list):
             _render(item, indent + 1, pieces)
             pieces.append(",\n" if k < len(obj) - 1 else "\n")
         pieces.append(pad + "]")
+    elif hasattr(obj, "to_json"):
+        _render(obj.to_json(), indent, pieces)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 

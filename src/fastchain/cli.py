@@ -96,9 +96,9 @@ def _cmd_eval(args) -> int:
     spec = spectrum(L)
     doc = {
         "f": kern.f,
-        "spectrum": spec.to_json(),
-        "hitting": kern.report().to_json(),
-        "pi": pi.to_json(),
+        "spectrum": spec,
+        "hitting": kern.report(),
+        "pi": pi,
         "checks": {
             "hitting_vs_spectral": abs(kern.f - spec.sum_reciprocals(1)),
             "spectral_second": abs(kern.h_mean - spec.sum_reciprocals(2)),
@@ -110,7 +110,7 @@ def _cmd_eval(args) -> int:
     if args.derivatives:
         doc["derivatives"] = [
             {
-                "cycle": c.to_json(),
+                "cycle": c,
                 **derivative_report(kern, c, with_second=args.second).to_json(),
             }
             for c in _cycles_below(L)
@@ -190,7 +190,7 @@ def _cmd_discrete(args) -> int:
     doc = {
         "frak_f": value,
         "hunter_trace": trace,
-        "generator": L.to_json(),
+        "generator": L,
         "k": k,
         "checks": {
             "hitting_vs_spectral": abs(value - spectral),

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._serialize import Report
 from .eigentime import HittingKernel, IdentityViolation
 from .generator import (
     CycleDecomposition,
@@ -144,7 +145,7 @@ def h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
     """
     a = np.asarray(cycle_a.vertices)
     b = np.asarray(cycle_b.vertices)[:, None]
-    a1, b1 = np.roll(a, -1), np.roll(b, -1, axis=0)
+    a1, b1 = np.concatenate((a[1:], a[:1])), np.concatenate((b[1:], b[:1]))
     H, E = kern.h, kern.E
     total = np.sum((H[b, a1] - H[b, a]) * (E[b1, a] - E[b, a]))
     return float(total) / (len(cycle_a) * len(cycle_b))
@@ -179,35 +180,30 @@ def second_directional(kern: HittingKernel, cycle_a: Cycle,
     within the rounding allowance of a quantity of order M(L)^3 (see
     :func:`_rounding_tol`).
     """
-    if cycle_b is None:
+    if cycle_b is None or cycle_b == cycle_a:
         cycle_b = cycle_a
-    rates_a, rates_b = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
-    cross_ba = _mean_psi_cross(kern, rates_a, rates_b)
-    cross_ab = _mean_psi_cross(kern, rates_b, rates_a)
+        rates_a = _CycleArcs([cycle_a]).rates(kern.pi.weights)[0]
+        cross_ab = cross_ba = _mean_psi_cross(kern, rates_a, rates_a)
+        h_a = h_b = kern.h_cycle(cycle_a)
+    else:
+        rates_a, rates_b = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
+        cross_ba = _mean_psi_cross(kern, rates_a, rates_b)
+        cross_ab = _mean_psi_cross(kern, rates_b, rates_a)
+        h_a, h_b = kern.h_cycle(cycle_a), kern.h_cycle(cycle_b)
     assembled = h_cross(kern, cycle_a, cycle_b)
     if abs(assembled - cross_ba) > _rounding_tol(kern, 3):
         raise IdentityViolation(
             f"chained term mismatch: assembled {assembled!r} vs solved {cross_ba!r}")
-    return (2.0 * kern.f - 2.0 * kern.h_cycle(cycle_a) - 2.0 * kern.h_cycle(cycle_b)
-            + cross_ab + cross_ba)
+    return 2.0 * kern.f - 2.0 * h_a - 2.0 * h_b + cross_ab + cross_ba
 
 
 @dataclass(frozen=True)
-class DerivativeReport:
+class DerivativeReport(Report):
     f_value: float
     h_cycle: float
     first: float
     second: float | None
     m_bound: float
-
-    def to_json(self) -> dict:
-        return {
-            "f_value": self.f_value,
-            "h_cycle": self.h_cycle,
-            "first": self.first,
-            "second": self.second,
-            "m_bound": self.m_bound,
-        }
 
 
 def derivative_report(kern: HittingKernel, cycle: Cycle,

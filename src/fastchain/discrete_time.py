@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._serialize import Report
 from .eigentime import hitting_kernel
 from .generator import (
     Generator,
@@ -85,7 +86,7 @@ class Kernel:
         return self.entries.shape[0]
 
     def to_json(self) -> dict:
-        return {"n": self.n, "rates": [[float(v) for v in row] for row in self.entries]}
+        return {"n": self.n, "rates": self.entries}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Kernel":
@@ -168,19 +169,11 @@ def to_generator(K: Kernel, pi: ProbabilityVector) -> tuple:
 
 
 @dataclass(frozen=True)
-class WedgeComparison:
+class WedgeComparison(Report):
     f_wedge: float
     frak_f_wedge: float
     gap: float
     kernel_weights: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "f_wedge": self.f_wedge,
-            "frak_f_wedge": self.frak_f_wedge,
-            "gap": self.gap,
-            "kernel_weights": [float(w) for w in self.kernel_weights],
-        }
 
 
 def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> WedgeComparison:

@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._serialize import Report
 from .graph import DirectedGraph, is_strongly_connected
 
 __all__ = [
@@ -245,15 +246,9 @@ def extract_policy_path(table: ValueTable, start: int) -> list:
 
 
 @dataclass(frozen=True)
-class BudgetSearchResult:
+class BudgetSearchResult(Report):
     best_budgets: np.ndarray
     best_value: float
-
-    def to_json(self) -> dict:
-        return {
-            "best_budgets": [float(b) for b in self.best_budgets],
-            "best_value": self.best_value,
-        }
 
 
 def optimal_budget_search(g: DirectedGraph, grid: int = 12,

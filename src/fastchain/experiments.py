@@ -24,6 +24,7 @@ from math import sqrt
 
 import numpy as np
 
+from ._serialize import Report
 from .eigentime import hamiltonian_speed_value, inverse_speed, spectrum
 from .generator import (
     CycleDecomposition,
@@ -141,7 +142,7 @@ def spectrum_split(L_r: Generator, short_cycle: Cycle, r: float) -> tuple:
 
 
 @dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Report):
     graph: DirectedGraph
     short_cycle: Cycle
     r: float
@@ -151,19 +152,6 @@ class CounterexampleReport:
     hamiltonian_values: tuple
     margin: float
     r_multiplicity: int
-
-    def to_json(self) -> dict:
-        return {
-            "graph": self.graph.to_json(),
-            "short_cycle": self.short_cycle.to_json(),
-            "r": self.r,
-            "eps": self.eps,
-            "pi_r_eps": self.pi_r_eps.to_json(),
-            "f_perturbed": self.f_perturbed,
-            "hamiltonian_values": [float(v) for v in self.hamiltonian_values],
-            "margin": self.margin,
-            "r_multiplicity": self.r_multiplicity,
-        }
 
 
 def _default_trees(g: DirectedGraph, short_cycle: Cycle) -> list:
@@ -255,21 +243,12 @@ def find_counterexample(g: DirectedGraph, r_grid=None, eps_grid=None) -> Counter
 
 
 @dataclass(frozen=True)
-class SegmentReport:
+class SegmentReport(Report):
     generator: Generator
     f_min: float
     branch: str
     relabeled: bool
     weight_01: float
-
-    def to_json(self) -> dict:
-        return {
-            "generator": self.generator.to_json(),
-            "f_min": self.f_min,
-            "branch": self.branch,
-            "relabeled": self.relabeled,
-            "weight_01": self.weight_01,
-        }
 
 
 def s2_closed_form(pi: ProbabilityVector) -> SegmentReport:
@@ -313,19 +292,11 @@ def s2_closed_form(pi: ProbabilityVector) -> SegmentReport:
 
 
 @dataclass(frozen=True)
-class Theorem2ProbeReport:
+class Theorem2ProbeReport(Report):
     trials: int
     successes: int
     success_fraction: float
     worst_distance: float
-
-    def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "successes": self.successes,
-            "success_fraction": self.success_fraction,
-            "worst_distance": self.worst_distance,
-        }
 
 
 def sample_near_uniform(n: int, l1_size: float, stream: RandomStream) -> ProbabilityVector:

@@ -122,7 +122,7 @@ class Generator:
         return -np.diag(self.rates)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "rates": [[float(v) for v in row] for row in self.rates]}
+        return {"n": self.n, "rates": self.rates}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Generator":
@@ -145,7 +145,7 @@ class CycleDecomposition:
         object.__setattr__(self, "terms", tuple(sorted(pairs, key=lambda t: t[0].vertices)))
 
     def to_json(self) -> list:
-        return [{"cycle": c.to_json(), "weight": w} for c, w in self.terms]
+        return [{"cycle": c, "weight": w} for c, w in self.terms]
 
 
 class _CycleArcs:

@@ -34,6 +34,7 @@ from math import copysign, isfinite, log
 
 import numpy as np
 
+from ._serialize import Report
 from .eigentime import _fundamental, _perturbation_kernel, hitting_kernel
 from .generator import Generator, ProbabilityVector, _CycleArcs
 from .graph import DirectedGraph, _support_strongly_connected, enumerate_simple_cycles
@@ -74,12 +75,12 @@ class OptimizeReport:
 
     def to_json(self) -> dict:
         return {
-            "cycles": [c.to_json() for c in self.cycles],
-            "weights": [float(w) for w in self.weights],
-            "minimizer": self.minimizer.to_json(),
+            "cycles": self.cycles,
+            "weights": self.weights,
+            "minimizer": self.minimizer,
             "f_min": self.f_min,
             "certificate": {
-                "h_values": [float(h) for h in self.h_values],
+                "h_values": self.h_values,
                 "gap": self.gap,
             },
             "iterations": self.iterations,
@@ -412,19 +413,11 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
 
 
 @dataclass(frozen=True)
-class StationarityReport:
+class StationarityReport(Report):
     f: float
     h_values: np.ndarray
     below: np.ndarray
     max_gap: float
-
-    def to_json(self) -> dict:
-        return {
-            "f": self.f,
-            "h_values": [float(h) for h in self.h_values],
-            "below": [bool(b) for b in self.below],
-            "max_gap": self.max_gap,
-        }
 
 
 def stationarity_check(L: Generator, pi: ProbabilityVector, cycles) -> StationarityReport:
@@ -449,13 +442,10 @@ def stationarity_check(L: Generator, pi: ProbabilityVector, cycles) -> Stationar
 
 
 @dataclass(frozen=True)
-class EpsilonNeighborhood:
+class EpsilonNeighborhood(Report):
     eps1: float
     eps2: float
     eps: float
-
-    def to_json(self) -> dict:
-        return {"eps1": self.eps1, "eps2": self.eps2, "eps": self.eps}
 
 
 def epsilon_neighborhood(n: int, pi_min: float) -> EpsilonNeighborhood:

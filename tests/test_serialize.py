@@ -1,13 +1,18 @@
 """The float-array path of ``dumps`` against its oracle: the same array as
-nested lists, which renders entry by entry through ``_fmt_float``."""
+nested lists, which renders entry by entry through ``_fmt_float``; and the
+object route, a :class:`Report` against the dict that copied its fields by
+hand."""
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from fastchain._serialize import _escape, dumps
+from fastchain._serialize import Report, _escape, dumps
+from fastchain.generator import ProbabilityVector, cycle_generator
+from fastchain.graph import Cycle
 from fastchain.rng import RandomStream
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -7.0, 12345.0, 9999999999999998.0, -9999999999999998.0,
@@ -110,3 +115,41 @@ def test_large_whole_floats_read_back_as_floats(x):
 
     for got in (back(x), back([x])[0], back(np.array([x, 0.5]))[0], back(np.array([[0.5, x]]))[0][1]):
         assert type(got) is float and got == x
+
+
+@dataclass(frozen=True)
+class _Sample(Report):
+    generator: object
+    pi: ProbabilityVector
+    cycle: Cycle
+    values: tuple
+    second: float | None
+    below: np.ndarray
+
+
+def test_report_renders_as_its_hand_written_dict():
+    """A Report's fields, arrays and objects passed as they are, render the
+    bytes of the dict that converted each of them entry by entry: a nested
+    Generator, a ProbabilityVector, a Cycle, a tuple of floats, None and a
+    bool array, alone and nested in a document."""
+    pi = ProbabilityVector([0.2, 0.3, 0.5])
+    rep = _Sample(generator=cycle_generator(pi, Cycle([0, 2, 1])), pi=pi, cycle=Cycle([2, 0, 1]),
+                  values=(1 / 3, np.float64(2.0), 1e16, -0.0), second=None,
+                  below=np.array([True, False, True]))
+    hand = {
+        "generator": {"n": 3, "rates": [[float(v) for v in row] for row in rep.generator.rates]},
+        "pi": [float(w) for w in pi.weights],
+        "cycle": [0, 1, 2],
+        "values": [float(v) for v in rep.values],
+        "second": None,
+        "below": [True, False, True],
+    }
+    assert list(rep.to_json()) == ["generator", "pi", "cycle", "values", "second", "below"]
+    assert dumps(rep) == dumps(hand)
+    assert dumps({"report": rep, "list": [rep, 1.5]}) == dumps({"report": hand, "list": [hand, 1.5]})
+
+
+@pytest.mark.parametrize("obj", [object(), {1, 2}])
+def test_object_without_to_json_is_refused(obj):
+    with pytest.raises(TypeError, match="cannot serialize"):
+        dumps({"a": [obj]})
