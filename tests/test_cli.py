@@ -142,6 +142,9 @@ def test_eval_output_is_pinned(tmp_path, capsys):
 
 
 UNIFORM3 = [1 / 3, 1 / 3, 1 / 3]
+# a random Hamiltonian digraph on 8 vertices with cycles of every length
+# 2-8; the generator mixes all 25 of its simple cycles
+HAM8 = json.loads((GOLDEN / "eval_ham8_input.json").read_text())
 
 
 @pytest.mark.parametrize("args, inputs, golden", [
@@ -155,12 +158,15 @@ UNIFORM3 = [1 / 3, 1 / 3, 1 / 3]
      "discrete_compare_k3_uniform.json"),
     (["probe-theorem2", "--trials", "5", "--seed", "2"], {"--graph": complete_graph(3).to_json()},
      "probe_theorem2_k3_trials5_seed2.json"),
+    (["eval", "--derivatives", "--second"], {"--generator": HAM8["generator"], "--pi": HAM8["pi"]},
+     "eval_ham8_derivatives_second.json"),
 ])
 def test_report_output_is_pinned(tmp_path, capsys, args, inputs, golden):
     """The reports of ``s2``, ``counterexample``, ``discrete --kernel``,
-    ``discrete --compare`` and ``probe-theorem2`` are pinned byte for byte:
-    the generator, kernel weights, measure, graph and cycle they carry, and
-    their checks.  Like the optimize goldens, the bytes hold the last bits
+    ``discrete --compare``, ``probe-theorem2`` and ``eval --derivatives
+    --second`` over all cycles of an 8-state mixture are pinned byte for
+    byte: the generator, kernel weights, measure, graph, cycles and
+    derivatives they carry, and their checks.  Like the optimize goldens, the bytes hold the last bits
     of LAPACK results and belong to one numpy/OpenBLAS build: after a change
     of that build, recapture them with this command and check that only last
     bits moved."""
