@@ -15,6 +15,7 @@ from .derivatives import (
     DerivativeReport,
     DirectionInvalid,
     derivative_report,
+    derivative_reports,
     directional_derivative,
     h_cross,
     psi_solve,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from ._serialize import dumps
-from .derivatives import derivative_report
+from .derivatives import derivative_reports
 from .discrete_time import (
     Kernel,
     compare_wedges,
@@ -108,12 +108,10 @@ def _cmd_eval(args) -> int:
         },
     }
     if args.derivatives:
+        cycles = _cycles_below(L)
         doc["derivatives"] = [
-            {
-                "cycle": c,
-                **derivative_report(kern, c, with_second=args.second).to_json(),
-            }
-            for c in _cycles_below(L)
+            {"cycle": c, **report.to_json()}
+            for c, report in zip(cycles, derivative_reports(kern, cycles, with_second=args.second))
         ]
         doc["m_bound"] = kern.m_bound
         doc["checks"]["m_vs_f_over_pimin_sq"] = float(kern.m_bound - kern.f / pi.pi_min ** 2)

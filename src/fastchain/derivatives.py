@@ -52,6 +52,7 @@ __all__ = [
     "directional_derivative",
     "second_directional",
     "derivative_report",
+    "derivative_reports",
 ]
 
 
@@ -151,16 +152,25 @@ def h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
     return float(total) / (len(cycle_a) * len(cycle_b))
 
 
-def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray, rates_b: np.ndarray) -> float:
+def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray, rates_b: np.ndarray):
     """sum_y pi(y) pi[Psi_y] straight from the fundamental matrix.
 
     The mean-zero solutions are psi_y = -Z L_A phi_y and
     Psi_y = Z L_B Z L_A phi_y; anchoring Psi_y at y and averaging it over pi
-    (pi Z = pi, pi L_B = 0) leaves -(Z L_B Z L_A E)[y, y].
+    (pi Z = pi, pi L_B = 0) leaves -(Z L_B Z L_A E)[y, y].  The rates may be
+    (m, n, n) stacks, giving the m terms as an array: the broadcast products
+    and the strided diagonal give each slice the bits of its 2-D product.
     """
     Z = kern.Z
     chained = Z @ rates_b @ Z @ rates_a @ kern.E
-    return -float(kern.pi.weights @ np.diag(chained))
+    diag = np.diagonal(chained, axis1=-2, axis2=-1)
+    return -(kern.pi.weights @ diag[..., None])[..., 0]
+
+
+def _check_chained(assembled: float, solved: float, tol: float) -> None:
+    if abs(assembled - solved) > tol:
+        raise IdentityViolation(
+            f"chained term mismatch: assembled {assembled!r} vs solved {solved!r}")
 
 
 def second_directional(kern: HittingKernel, cycle_a: Cycle,
@@ -169,7 +179,8 @@ def second_directional(kern: HittingKernel, cycle_a: Cycle,
 
     For ``cycle_b`` None or equal to ``cycle_a`` this is the second
     derivative of e -> F((1-e) L + e L_A) at e = 0, namely
-    2 F - 4 H_A + 2 H_{A,A}.  For two distinct cycles it is the symmetric
+    2 F - 4 H_A + 2 H_{A,A}, the one-cycle case of
+    :func:`derivative_reports`.  For two distinct cycles it is the symmetric
     bilinear Hessian evaluated at the pair of segment directions,
     2 F - 2 H_A - 2 H_B + H_{A,B} + H_{B,A}, which reduces to the former
     when the cycles coincide and matches mixed central finite differences.
@@ -181,19 +192,12 @@ def second_directional(kern: HittingKernel, cycle_a: Cycle,
     :func:`_rounding_tol`).
     """
     if cycle_b is None or cycle_b == cycle_a:
-        cycle_b = cycle_a
-        rates_a = _CycleArcs([cycle_a]).rates(kern.pi.weights)[0]
-        cross_ab = cross_ba = _mean_psi_cross(kern, rates_a, rates_a)
-        h_a = h_b = kern.h_cycle(cycle_a)
-    else:
-        rates_a, rates_b = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
-        cross_ba = _mean_psi_cross(kern, rates_a, rates_b)
-        cross_ab = _mean_psi_cross(kern, rates_b, rates_a)
-        h_a, h_b = kern.h_cycle(cycle_a), kern.h_cycle(cycle_b)
-    assembled = h_cross(kern, cycle_a, cycle_b)
-    if abs(assembled - cross_ba) > _rounding_tol(kern, 3):
-        raise IdentityViolation(
-            f"chained term mismatch: assembled {assembled!r} vs solved {cross_ba!r}")
+        return derivative_reports(kern, [cycle_a], with_second=True)[0].second
+    rates_a, rates_b = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
+    cross_ba = float(_mean_psi_cross(kern, rates_a, rates_b))
+    cross_ab = float(_mean_psi_cross(kern, rates_b, rates_a))
+    _check_chained(h_cross(kern, cycle_a, cycle_b), cross_ba, _rounding_tol(kern, 3))
+    h_a, h_b = kern.h_cycle(cycle_a), kern.h_cycle(cycle_b)
     return 2.0 * kern.f - 2.0 * h_a - 2.0 * h_b + cross_ab + cross_ba
 
 
@@ -206,14 +210,45 @@ class DerivativeReport(Report):
     m_bound: float
 
 
+# cycles per stacked chained product: each (block, n, n) temporary of
+# derivative_reports holds CYCLE_BLOCK n^2 doubles
+CYCLE_BLOCK = 128
+
+
+def derivative_reports(kern: HittingKernel, cycles,
+                       with_second: bool = False) -> list:
+    """F, H_A, first and (optionally) second derivative along each cycle.
+
+    The cycles go in blocks of ``CYCLE_BLOCK``: the H_A of a block are one
+    ``_CycleArcs.means`` of h, bit-equal to :meth:`HittingKernel.h_cycle`,
+    and its chained terms H_{A,A} one stacked product over its cycle rates
+    (see :func:`_mean_psi_cross`), each bit-equal to the one-cycle product.
+    Every chained term is compared against the arc-sum assembly of
+    :func:`h_cross`, as in :func:`second_directional`.
+    """
+    cycles = list(cycles)
+    f, p = kern.f, kern.pi.weights
+    tol = _rounding_tol(kern, 3)
+    reports = []
+    for start in range(0, len(cycles), CYCLE_BLOCK):
+        block = cycles[start:start + CYCLE_BLOCK]
+        arcs = _CycleArcs(block)
+        h_a = arcs.means(kern.h)
+        second = [None] * len(block)
+        if with_second:
+            rates = arcs.rates(p)
+            cross = _mean_psi_cross(kern, rates, rates)
+            for c, solved in zip(block, cross.tolist()):
+                _check_chained(h_cross(kern, c, c), solved, tol)
+            second = (2.0 * f - 2.0 * h_a - 2.0 * h_a + cross + cross).tolist()
+        reports += [DerivativeReport(f_value=f, h_cycle=h, first=f - h, second=s,
+                                     m_bound=kern.m_bound)
+                    for h, s in zip(h_a.tolist(), second)]
+    return reports
+
+
 def derivative_report(kern: HittingKernel, cycle: Cycle,
                       with_second: bool = False) -> DerivativeReport:
-    """F, H_A, first and (optionally) second derivative along one cycle."""
-    h_a = kern.h_cycle(cycle)
-    return DerivativeReport(
-        f_value=kern.f,
-        h_cycle=h_a,
-        first=kern.f - h_a,
-        second=second_directional(kern, cycle) if with_second else None,
-        m_bound=kern.m_bound,
-    )
+    """F, H_A, first and (optionally) second derivative along one cycle: the
+    one-cycle case of :func:`derivative_reports`."""
+    return derivative_reports(kern, [cycle], with_second)[0]

@@ -88,6 +88,14 @@ class Cycle:
         k = verts.index(min(verts))
         object.__setattr__(self, "vertices", verts[k:] + verts[:k])
 
+    @classmethod
+    def _canonical(cls, vertices: tuple) -> "Cycle":
+        """The cycle of distinct int vertices already starting at their
+        minimum, without the checks and rotation of ``__init__``."""
+        cycle = object.__new__(cls)
+        object.__setattr__(cycle, "vertices", vertices)
+        return cycle
+
     def __len__(self) -> int:
         return len(self.vertices)
 
@@ -182,7 +190,8 @@ def enumerate_simple_cycles(g: DirectedGraph, max_count: int = DEFAULT_CYCLE_BUD
                         if len(cycles) >= max_count:
                             raise CycleBudgetExceeded(
                                 f"more than {max_count} simple cycles")
-                        cycles.append(Cycle(path))
+                        # distinct, rooted at their minimum s: canonical as they stand
+                        cycles.append(Cycle._canonical(tuple(path)))
                     found = True
                 elif not blocked[w]:
                     path.append(w)

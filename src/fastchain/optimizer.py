@@ -151,10 +151,15 @@ class CyclePolytope:
         keep = [k for k in range(len(ws)) if self._irreducible(positive[k])]
         out = np.full(len(ws), np.inf)
         if keep:
-            p = self.pi.weights
-            _, E = _fundamental(self._Pi - rates[keep], p)
-            out[keep] = (p[None, None, :] @ E @ p[:, None])[:, 0, 0]
+            _, E = _fundamental(self._Pi - rates[keep], self.pi.weights)
+            out[keep] = self._f_of(E)
         return out
+
+    def _f_of(self, E: np.ndarray) -> np.ndarray:
+        """F = pi E pi of each matrix of a stack of hitting-time matrices,
+        as ``p[None, None, :] @ E @ p[:, None]`` (see :meth:`f_values`)."""
+        p = self.pi.weights
+        return (p[None, None, :] @ E @ p[:, None])[:, 0, 0]
 
     def f_and_h(self, w: np.ndarray) -> tuple:
         """F together with the vector of H_A over all enumerated cycles."""
@@ -170,10 +175,17 @@ class CyclePolytope:
         ``d_rates``: -sum_{x,y} pi(x) D(x, y) h(x, y), +inf when the support
         is not irreducible.  The diagonal of h is zero, so for D = L_A - L
         this is the paper's F - H_A."""
+        return self.slope_and_f(w, d_rates)[0]
+
+    def slope_and_f(self, w: np.ndarray, d_rates: np.ndarray) -> tuple:
+        """:meth:`slope` together with F at ``w`` from the same inverse, in
+        the bits of :meth:`f_value`; (inf, inf) when the support is not
+        irreducible."""
         kernel = self._kernel(w)
         if kernel is None:
-            return np.inf
-        return -float(self.pi.weights @ (d_rates * kernel[1]).sum(axis=1))
+            return np.inf, np.inf
+        E, h = kernel
+        return -float(self.pi.weights @ (d_rates * h).sum(axis=1)), float(self._f_of(E[None])[0])
 
     def _kernel(self, w: np.ndarray):
         """(E, h) of the mixture, or None when its support is not irreducible."""
@@ -256,17 +268,20 @@ def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
     on a vertex exactly when the slope stays negative to the end of the
     segment.  Otherwise the presample intervals next to the minimum bracket
     a root of the exact slope (:meth:`CyclePolytope.slope`), which
-    :func:`_zeroin` closes to width ``BISECT_TOL``, and F is taken at that
-    root.  The slope is resolved to about eps M(L) also where differences of
-    F are lost in F's rounding.  If the slope does not change sign across
-    the bracket, the presample minimum is returned as it stands.
+    :func:`_zeroin` closes to width ``BISECT_TOL``, and F at that root is
+    read from the inverse its slope was taken from.  The slope is resolved
+    to about eps M(L) also where differences of F are lost in F's rounding.
+    If the slope does not change sign across the bracket, the presample
+    minimum is returned as it stands.
     """
     ts = np.linspace(lo, hi, PRESAMPLES)
     vals = poly.f_values(point(ts[:, None]))
     d_rates = poly.rates(direction)
+    f_at = {}  # F at every t whose slope was taken, from the slope's inverse
 
     def slope(t):
-        return poly.slope(point(t), d_rates)
+        value, f_at[t] = poly.slope_and_f(point(t), d_rates)
+        return value
 
     k = int(np.argmin(vals))
     a = float(ts[max(k - 1, 0)])
@@ -284,7 +299,7 @@ def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
     if not fa <= 0 < fb:
         return float(ts[k]), float(vals[k])
     t = _zeroin(slope, a, fa, b, fb, BISECT_TOL)
-    return t, poly.f_value(point(t))
+    return t, f_at[t]
 
 
 def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,

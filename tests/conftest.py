@@ -67,6 +67,26 @@ def cycle_rates_oracle(p: np.ndarray, cycle: Cycle) -> np.ndarray:
     return rates
 
 
+def derivative_reports_oracle(kern, cycles, with_second: bool) -> list:
+    """(f_value, h_cycle, first, second, m_bound) of each cycle by the
+    per-cycle route ``derivatives.derivative_reports`` must reproduce bit for
+    bit: H_A as the mean of h over the cycle's arcs, and the chained term
+    -sum_y pi(y) (Z L_A Z L_A E)[y, y] as one 2-D product over the arc-loop
+    rates of the cycle."""
+    p, f = kern.pi.weights, kern.f
+    out = []
+    for c in cycles:
+        v = list(c.vertices)
+        h_a = float(kern.h[v, v[1:] + v[:1]].mean())
+        second = None
+        if with_second:
+            R = cycle_rates_oracle(p, c)
+            cross = -float(p @ np.diag(kern.Z @ R @ kern.Z @ R @ kern.E))
+            second = 2.0 * f - 2.0 * h_a - 2.0 * h_a + cross + cross
+        out.append((f, h_a, f - h_a, second, kern.m_bound))
+    return out
+
+
 def random_member(g: DirectedGraph, pi: ProbabilityVector, stream: RandomStream,
                   interior: float = 0.2):
     """Random normalized pi-invariant generator compatible with g, as a cycle

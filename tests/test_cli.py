@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import fastchain.cli
+import fastchain.derivatives
 from fastchain.cli import main
 from fastchain.discrete_time import to_kernel
 from fastchain.graph import complete_graph, hypercube_graph, segment_graph
@@ -176,6 +177,31 @@ def test_report_output_is_pinned(tmp_path, capsys, args, inputs, golden):
     code, out, _ = run_cli(argv, capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+def run_eval_ham8(tmp_path, capsys):
+    gpath = write(tmp_path, "g.json", HAM8["generator"])
+    ppath = write(tmp_path, "pi.json", HAM8["pi"])
+    return run_cli(["eval", "--generator", gpath, "--pi", ppath, "--derivatives", "--second"],
+                   capsys)
+
+
+def test_eval_derivatives_in_small_blocks_keeps_its_bytes(tmp_path, capsys, monkeypatch):
+    """The 25 cycles in blocks of 3 print the pinned bytes."""
+    monkeypatch.setattr(fastchain.derivatives, "CYCLE_BLOCK", 3)
+    code, out, _ = run_eval_ham8(tmp_path, capsys)
+    assert code == 0
+    assert out == (GOLDEN / "eval_ham8_derivatives_second.json").read_text()
+
+
+def test_eval_derivatives_chained_term_mismatch_exits_2(tmp_path, capsys, monkeypatch):
+    assembled = fastchain.derivatives.h_cross
+    monkeypatch.setattr(fastchain.derivatives, "h_cross",
+                        lambda *args: assembled(*args) * (1 + 1e-6))
+    code, out, err = run_eval_ham8(tmp_path, capsys)
+    assert code == 2
+    assert out == ""
+    assert "chained term mismatch" in err
 
 
 def test_dp_command(tmp_path, capsys):

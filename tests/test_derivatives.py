@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fastchain.derivatives as derivatives
 from fastchain.derivatives import (
     DirectionInvalid,
     _mean_psi_cross,
     derivative_report,
+    derivative_reports,
     directional_derivative,
     h_cross,
     psi_solve,
@@ -21,7 +24,14 @@ from fastchain.generator import (
 from fastchain.graph import Cycle, complete_graph, enumerate_simple_cycles
 from fastchain.rng import RandomStream
 
-from conftest import anchored_mean_psi_cross, f_reference, random_member, random_pi
+from conftest import (
+    anchored_mean_psi_cross,
+    derivative_reports_oracle,
+    f_reference,
+    random_ham_digraph,
+    random_member,
+    random_pi,
+)
 
 
 def central_fd(L, pi, cycle, eps=1e-5):
@@ -292,3 +302,67 @@ def test_cross_checks_catch_relative_error_on_stiff_chain(monkeypatch, rel):
                         lambda *args: h_assembled(*args) * (1 + rel))
     with pytest.raises(IdentityViolation):
         second_directional(kern, middle)
+
+
+def report_fields(reports) -> list:
+    return [(r.f_value, r.h_cycle, r.first, r.second, r.m_bound) for r in reports]
+
+
+def shuffled_member(n: int, seed: int):
+    """A random mixture of all simple cycles of a random Hamiltonian digraph
+    on n vertices, its kernel and its cycles in shuffled order, so that the
+    lengths are mixed along the list."""
+    s = RandomStream(seed)
+    pi = random_pi(s, n)
+    L, cycles, _ = random_member(random_ham_digraph(n, s, extra=0.3), pi, s)
+    return hitting_kernel(L, pi), s.shuffled(list(cycles))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(3, 9), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_derivative_reports_match_the_per_cycle_route(n, seed, with_second):
+    """The stacked pass gives every cycle the bits of the per-cycle route:
+    the mean of h over its arcs and the 2-D chained product over its arc-loop
+    rates.  Cycle lengths 2..n are mixed along the list."""
+    kern, cycles = shuffled_member(n, seed)
+    got = derivative_reports(kern, cycles, with_second=with_second)
+    assert report_fields(got) == derivative_reports_oracle(kern, cycles, with_second)
+    assert [derivative_report(kern, c, with_second) for c in cycles[:3]] == got[:3]
+    if with_second:
+        assert [second_directional(kern, c) for c in cycles[:3]] == [r.second for r in got[:3]]
+
+
+def test_derivative_reports_of_no_cycles(uniform_cycle3, pi3):
+    assert derivative_reports(hitting_kernel(uniform_cycle3, pi3), [], with_second=True) == []
+
+
+def test_derivative_reports_blocks_do_not_move_bits(monkeypatch):
+    """Blocks of 3 cycles, so the last one is partial, give the bits of one
+    block over all cycles."""
+    kern, cycles = shuffled_member(7, 5)
+    assert len(cycles) > 2 * 3
+    whole = derivative_reports(kern, cycles, with_second=True)
+    monkeypatch.setattr(derivatives, "CYCLE_BLOCK", 3)
+    assert derivative_reports(kern, cycles, with_second=True) == whole
+
+
+def test_derivative_reports_check_every_chained_term(monkeypatch):
+    """A relative error of 1e-6 planted in the arc-sum assembly raises from
+    the stacked pass; without second derivatives nothing is assembled."""
+    kern, cycles = shuffled_member(6, 7)
+    assembled = derivatives.h_cross
+    seen = []
+
+    def planted(kern, a, b):
+        seen.append(a)
+        return assembled(kern, a, b) * (1 + 1e-6)
+
+    monkeypatch.setattr(derivatives, "h_cross", planted)
+    with pytest.raises(IdentityViolation, match="chained term mismatch"):
+        derivative_reports(kern, cycles, with_second=True)
+    derivative_reports(kern, cycles, with_second=False)
+    assert seen == cycles[:1]
+    monkeypatch.setattr(derivatives, "h_cross",
+                        lambda kern, a, b: seen.append(a) or assembled(kern, a, b))
+    derivative_reports(kern, cycles, with_second=True)
+    assert seen == cycles[:1] + cycles

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastchain.graph import (
     Cycle,
@@ -12,6 +14,9 @@ from fastchain.graph import (
     is_strongly_connected,
     segment_graph,
 )
+from fastchain.rng import RandomStream
+
+from conftest import random_ham_digraph
 
 
 def test_graph_validation():
@@ -109,3 +114,17 @@ def test_every_cycle_arc_is_an_edge():
 def test_graph_json_roundtrip():
     g = segment_graph(2)
     assert DirectedGraph.from_json(g.to_json()).edges == g.edges
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(2, 8), st.floats(0.0, 0.6), st.integers(0, 2 ** 32 - 1))
+def test_enumerated_cycles_are_what_the_checked_constructor_builds(n, extra, seed):
+    """The enumerator builds its cycles without ``Cycle.__init__``; each one
+    equals, hashes like and holds the same int vertex tuple as the cycle
+    the checked constructor makes of its vertices."""
+    cycles = enumerate_simple_cycles(random_ham_digraph(n, RandomStream(seed), extra))
+    checked = [Cycle(c.vertices) for c in cycles]
+    assert cycles == checked
+    assert [hash(c) for c in cycles] == [hash(c) for c in checked]
+    assert all(type(c.vertices) is tuple and all(type(v) is int for v in c.vertices)
+               for c in cycles)

@@ -448,14 +448,11 @@ class _Segment:
     def f_values(self, ws):
         return np.array([self.f(w[0]) for w in ws])
 
-    def f_value(self, w):
-        return self.f(w[0])
-
     def rates(self, direction):
         return direction
 
-    def slope(self, w, d_rates):
-        return self.df(w[0]) * d_rates[0]
+    def slope_and_f(self, w, d_rates):
+        return self.df(w[0]) * d_rates[0], self.f(w[0])
 
 
 def test_line_search_without_sign_change_returns_presample_minimum():
@@ -492,14 +489,16 @@ def test_line_search_matches_bisection_with_few_slopes(monkeypatch, name):
     BISECT_TOL of the bisection oracle's on the same segment.  The root
     finder makes few slope evaluations: on K5 with pi = (1..5)/15 at most
     8 per search on average, the early endpoint returns included (bisection
-    made about 15)."""
+    made about 15).  The count is of the kernels (one inverse each) formed
+    during the search: every slope takes one, F at the root takes none of
+    its own, and every search takes at least one."""
     g, pi = LINE_SEARCH_CASES[name]
     searches, slopes = [], [0]
-    real_slope = CyclePolytope.slope
+    real_kernel = CyclePolytope._kernel
 
-    def counted_slope(self, w, d_rates):
+    def counted_kernel(self, w):
         slopes[0] += 1
-        return real_slope(self, w, d_rates)
+        return real_kernel(self, w)
 
     def checked_search(poly, point, direction, lo, hi):
         before = slopes[0]
@@ -508,11 +507,12 @@ def test_line_search_matches_bisection_with_few_slopes(monkeypatch, name):
         searches.append((t, bisection_line_search(poly, point, direction, lo, hi)[0], count))
         return t, f
 
-    monkeypatch.setattr(CyclePolytope, "slope", counted_slope)
+    monkeypatch.setattr(CyclePolytope, "_kernel", counted_kernel)
     monkeypatch.setattr(optimizer, "_line_search", checked_search)
     report = optimizer.frank_wolfe_minimize(g, pi, seed=0)
     assert report.converged
     worst = max(abs(t - t_old) for t, t_old, _ in searches)
     assert worst <= BISECT_TOL, worst
+    assert min(count for _, _, count in searches) >= 1
     if name == "K5":
         assert np.mean([count for _, _, count in searches]) <= 8.0
