@@ -152,7 +152,8 @@ def h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
     return float(total) / (len(cycle_a) * len(cycle_b))
 
 
-def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray, rates_b: np.ndarray):
+def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray,
+                    rates_b: np.ndarray) -> np.ndarray:
     """sum_y pi(y) pi[Psi_y] straight from the fundamental matrix.
 
     The mean-zero solutions are psi_y = -Z L_A phi_y and

@@ -159,8 +159,8 @@ HAM8 = json.loads((GOLDEN / "eval_ham8_input.json").read_text())
      "discrete_compare_k3_uniform.json"),
     (["probe-theorem2", "--trials", "5", "--seed", "2"], {"--graph": complete_graph(3).to_json()},
      "probe_theorem2_k3_trials5_seed2.json"),
-    (["eval", "--derivatives", "--second"], {"--generator": HAM8["generator"], "--pi": HAM8["pi"]},
-     "eval_ham8_derivatives_second.json"),
+    (["eval", "--derivatives", "--second"],
+     {"--generator": HAM8["generator"], "--pi": HAM8["pi"]}, "eval_ham8_derivatives_second.json"),
 ])
 def test_report_output_is_pinned(tmp_path, capsys, args, inputs, golden):
     """The reports of ``s2``, ``counterexample``, ``discrete --kernel``,
