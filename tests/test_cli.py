@@ -148,7 +148,7 @@ UNIFORM3 = [1 / 3, 1 / 3, 1 / 3]
 HAM8 = json.loads((GOLDEN / "eval_ham8_input.json").read_text())
 
 
-@pytest.mark.parametrize("args, inputs, golden", [
+REPORT_CASES = [
     (["s2"], {"--pi": [0.2, 0.3, 0.5]}, "s2_pi235.json"),
     (["counterexample"], {}, "counterexample_default.json"),
     (["discrete"], {"--kernel": {"n": 3, "rates": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]},
@@ -161,7 +161,18 @@ HAM8 = json.loads((GOLDEN / "eval_ham8_input.json").read_text())
      "probe_theorem2_k3_trials5_seed2.json"),
     (["eval", "--derivatives", "--second"],
      {"--generator": HAM8["generator"], "--pi": HAM8["pi"]}, "eval_ham8_derivatives_second.json"),
-])
+]
+
+
+def write_inputs(tmp_path, args, inputs):
+    """The argv of a case: its arguments, then each input written to a file."""
+    argv = list(args)
+    for k, (flag, obj) in enumerate(inputs.items()):
+        argv += [flag, write(tmp_path, f"in{k}.json", obj)]
+    return argv
+
+
+@pytest.mark.parametrize("args, inputs, golden", REPORT_CASES)
 def test_report_output_is_pinned(tmp_path, capsys, args, inputs, golden):
     """The reports of ``s2``, ``counterexample``, ``discrete --kernel``,
     ``discrete --compare``, ``probe-theorem2`` and ``eval --derivatives
@@ -171,12 +182,68 @@ def test_report_output_is_pinned(tmp_path, capsys, args, inputs, golden):
     of LAPACK results and belong to one numpy/OpenBLAS build: after a change
     of that build, recapture them with this command and check that only last
     bits moved."""
-    argv = list(args)
-    for k, (flag, obj) in enumerate(inputs.items()):
-        argv += [flag, write(tmp_path, f"in{k}.json", obj)]
-    code, out, _ = run_cli(argv, capsys)
+    code, out, _ = run_cli(write_inputs(tmp_path, args, inputs), capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()
+
+
+# one pinned case of every subcommand
+OUTPUT_CASES = REPORT_CASES + [
+    (["optimize", "--seed", "3"], {"--graph": segment_graph(2).to_json(), "--pi": UNIFORM3},
+     "optimize_s2_uniform_seed3.json"),
+    (["dp", "--mode", "continuous"], {"--graph": complete_graph(4).to_json()},
+     "dp_k4_continuous.json"),
+]
+
+
+@pytest.mark.parametrize("args, inputs, golden", OUTPUT_CASES,
+                         ids=[golden for *_, golden in OUTPUT_CASES])
+def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, args, inputs, golden):
+    """``--output`` writes exactly the bytes the command prints without it,
+    and prints nothing."""
+    argv = write_inputs(tmp_path, args, inputs)
+    target = tmp_path / "out.json"
+    assert run_cli(argv + ["--output", str(target)], capsys) == (0, "", "")
+    assert target.read_text() == (GOLDEN / golden).read_text()
+    assert run_cli(argv, capsys) == (0, target.read_text(), "")
+
+
+
+def test_unwritable_report_writes_no_output_file(tmp_path, capsys):
+    """A report that the writer refuses (here a +inf value) exits 2 without
+    creating the --output file."""
+    gpath = write(tmp_path, "g1.json", {"n": 1, "edges": []})
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(["dp", "--graph", gpath, "--mode", "continuous", "--full-set",
+                              "--output", str(target)], capsys)
+    assert (code, out) == (2, "") and err.startswith("error: ")
+    assert not target.exists()
+
+
+def test_optimize_without_iterations_writes_its_report_and_exits_3(tmp_path, capsys):
+    """With no iteration allowed the certificate gap stays open: the report
+    is still written, with ``converged: false``, and the exit code is 3."""
+    gpath = write(tmp_path, "k3.json", complete_graph(3).to_json())
+    ppath = write(tmp_path, "pi.json", [0.1, 0.3, 0.6])
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(["optimize", "--graph", gpath, "--pi", ppath, "--max-iters", "0",
+                              "--output", str(target)], capsys)
+    assert (code, out, err) == (3, "", "")
+    doc = json.loads(target.read_text())
+    assert doc["converged"] is False and doc["iterations"] == 0
+    assert round(doc["certificate"]["gap"], 3) == 0.403
+
+
+def test_optimize_over_the_cycle_budget_exits_4(tmp_path, capsys):
+    """K9 has more simple cycles than the enumeration budget: exit 4, one
+    error line, and neither stdout nor an --output file."""
+    gpath = write(tmp_path, "k9.json", complete_graph(9).to_json())
+    ppath = write(tmp_path, "pi.json", [1 / 9] * 9)
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(["optimize", "--graph", gpath, "--pi", ppath,
+                              "--output", str(target)], capsys)
+    assert (code, out, err) == (4, "", "error: more than 100000 simple cycles\n")
+    assert not target.exists()
 
 
 def run_eval_ham8(tmp_path, capsys):
