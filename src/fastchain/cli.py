@@ -80,16 +80,7 @@ def _load(path: str | None, parse, kind: str):
         raise InputError(f"bad {kind} file {path}: {exc}") from exc
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    text = dumps(doc)
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w") as fh:
-            fh.write(text)
-
-
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple:
     L = _load(args.generator, Generator.from_json, "generator")
     pi = _load(args.pi, ProbabilityVector, "probability") if args.pi else invariant_measure(L)
     kern = hitting_kernel(L, pi)
@@ -108,37 +99,30 @@ def _cmd_eval(args) -> int:
         },
     }
     if args.derivatives:
-        cycles = _cycles_below(L)
+        cycles = enumerate_simple_cycles(support_graph(L))
         doc["derivatives"] = [
             {"cycle": c, **report.to_json()}
             for c, report in zip(cycles, derivative_reports(kern, cycles, with_second=args.second))
         ]
         doc["m_bound"] = kern.m_bound
         doc["checks"]["m_vs_f_over_pimin_sq"] = float(kern.m_bound - kern.f / pi.pi_min ** 2)
-    _emit(doc, args.output)
-    return 0
+    return doc, 0
 
 
-def _cycles_below(L: Generator) -> list:
-    return enumerate_simple_cycles(support_graph(L))
-
-
-def _cmd_optimize(args) -> int:
+def _cmd_optimize(args) -> tuple:
     g = _load(args.graph, DirectedGraph.from_json, "graph")
     pi = _load(args.pi, ProbabilityVector, "probability")
     report = frank_wolfe_minimize(g, pi, tol=args.tol, max_iters=args.max_iters,
                                   seed=args.seed, extra_starts=args.starts)
     station = stationarity_check(report.minimizer, pi, report.cycles)
-    doc = report.to_json()
-    doc["checks"] = {
+    checks = {
         "stationarity_gap": station.max_gap,
         "f_recomputed": abs(eigentime_spectral(report.minimizer) - report.f_min),
     }
-    _emit(doc, args.output)
-    return 0 if report.converged else 3
+    return {**report.to_json(), "checks": checks}, 0 if report.converged else 3
 
 
-def _cmd_dp(args) -> int:
+def _cmd_dp(args) -> tuple:
     g = _load(args.graph, DirectedGraph.from_json, "graph")
     if not 0 <= args.start < g.n:
         raise InputError(f"start {args.start} out of range")
@@ -163,19 +147,15 @@ def _cmd_dp(args) -> int:
         value = table.start_value(args.start)
         path = extract_policy_path(table, args.start)
     doc = {"value": float(value), "path": path, "mode": args.mode, "checks": checks}
-    _emit(doc, args.output)
-    return 0
+    return doc, 0
 
 
-def _cmd_discrete(args) -> int:
+def _cmd_discrete(args) -> tuple:
     if args.compare:
         g = _load(args.graph, DirectedGraph.from_json, "graph")
         pi = _load(args.pi, ProbabilityVector, "probability")
         comp = compare_wedges(g, pi, seed=args.seed)
-        doc = comp.to_json()
-        doc["checks"] = {"wedge_gap_nonnegative": comp.gap}
-        _emit(doc, args.output)
-        return 0
+        return {**comp.to_json(), "checks": {"wedge_gap_nonnegative": comp.gap}}, 0
     if not args.kernel:
         raise InputError("discrete needs --kernel (or --compare with --graph)")
     K = _load(args.kernel, Kernel.from_json, "kernel")
@@ -200,44 +180,36 @@ def _cmd_discrete(args) -> int:
                                      if np.min(np.diag(K.entries)) < 1e-12 else 0.0),
         },
     }
-    _emit(doc, args.output)
-    return 0
+    return doc, 0
 
 
-def _cmd_counterexample(args) -> int:
+def _cmd_counterexample(args) -> tuple:
     g = _load(args.graph, DirectedGraph.from_json, "graph") if args.graph else triangle_leaf_graph()
     report = find_counterexample(g)
-    doc = report.to_json()
-    doc["checks"] = {
+    checks = {
         "margin_positive": report.margin,
         "hamiltonian_value_spread": float(max(report.hamiltonian_values)
                                           - min(report.hamiltonian_values)),
     }
-    _emit(doc, args.output)
-    return 0
+    return {**report.to_json(), "checks": checks}, 0
 
 
-def _cmd_s2(args) -> int:
+def _cmd_s2(args) -> tuple:
     pi = _load(args.pi, ProbabilityVector, "probability")
     report = s2_closed_form(pi)
     station = stationarity_check(report.generator, pi,
                                  [Cycle([0, 1]), Cycle([1, 2])])
-    doc = report.to_json()
-    doc["checks"] = {
+    checks = {
         "stationarity_gap": station.max_gap,
         "f_vs_hitting": abs(report.f_min - inverse_speed(report.generator, pi)),
     }
-    _emit(doc, args.output)
-    return 0
+    return {**report.to_json(), "checks": checks}, 0
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args) -> tuple:
     g = _load(args.graph, DirectedGraph.from_json, "graph")
     report = theorem2_probe(g, args.size, args.trials, args.seed)
-    doc = report.to_json()
-    doc["checks"] = {"worst_vertex_distance": report.worst_distance}
-    _emit(doc, args.output)
-    return 0
+    return {**report.to_json(), "checks": {"worst_vertex_distance": report.worst_distance}}, 0
 
 
 def _selftest() -> int:
@@ -301,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--pi", default=None, help="defaults to the invariant measure")
     q.add_argument("--derivatives", action="store_true")
     q.add_argument("--second", action="store_true", help="include second derivatives")
-    q.add_argument("--output", default=None)
     q.set_defaults(func=_cmd_eval)
 
     q = sub.add_parser("optimize", help="minimize F over the cycle polytope")
@@ -311,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--max-iters", type=int, default=10_000, dest="max_iters")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--starts", type=int, default=8, help="extra random starts")
-    q.add_argument("--output", default=None)
     q.set_defaults(func=_cmd_optimize)
 
     q = sub.add_parser("dp", help="covering dynamic program")
@@ -320,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--budgets", default=None)
     q.add_argument("--full-set", action="store_true", dest="full_set")
     q.add_argument("--start", type=int, default=0)
-    q.add_argument("--output", default=None)
     q.set_defaults(func=_cmd_dp)
 
     q = sub.add_parser("discrete", help="discrete-time kernel evaluation / wedge comparison")
@@ -329,17 +298,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--kernel", default=None)
     q.add_argument("--pi", required=True)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--output", default=None)
     q.set_defaults(func=_cmd_discrete)
 
     q = sub.add_parser("counterexample", help="search for a measure beating all Hamiltonian generators")
     q.add_argument("--graph", default=None, help="defaults to the triangle-plus-leaf instance")
-    q.add_argument("--output", default=None)
     q.set_defaults(func=_cmd_counterexample)
 
     q = sub.add_parser("s2", help="segment-graph closed-form minimizer")
     q.add_argument("--pi", required=True)
-    q.add_argument("--output", default=None)
     q.set_defaults(func=_cmd_s2)
 
     q = sub.add_parser("probe-theorem2", help="near-uniform Hamiltonian robustness probe")
@@ -347,21 +313,39 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--size", type=float, default=0.01)
     q.add_argument("--trials", type=int, default=20)
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--output", default=None)
     q.set_defaults(func=_cmd_probe)
+    for q in sub.choices.values():  # added last, so --help lists it where it always has
+        q.add_argument("--output", default=None)
     return p
 
 
+_parser = None  # built by the first main() call and kept for the process
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv, run the command, then render its report and write it to
+    stdout or to --output.  A command that fails writes nothing."""
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.selftest:
         return _selftest()
     if not getattr(args, "command", None):
-        parser.print_help()
+        _parser.print_help()
         return 2
     try:
-        return args.func(args)
+        doc, code = args.func(args)
+        text = dumps(doc)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            try:
+                with open(args.output, "w") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write {args.output}: {exc}") from exc
+        return code
     except CycleBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -208,6 +208,16 @@ def test_output_file_holds_the_stdout_bytes(tmp_path, capsys, args, inputs, gold
     assert run_cli(argv, capsys) == (0, target.read_text(), "")
 
 
+def test_output_into_a_missing_directory_exits_2(tmp_path, capsys):
+    """An --output path that cannot be opened used to end in a
+    FileNotFoundError traceback and exit 1."""
+    ppath = write(tmp_path, "pi.json", [0.2, 0.3, 0.5])
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["s2", "--pi", ppath, "--output", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {target}: ") and err.count("\n") == 1
+    assert not target.parent.exists()
+
 
 def test_unwritable_report_writes_no_output_file(tmp_path, capsys):
     """A report that the writer refuses (here a +inf value) exits 2 without
@@ -244,6 +254,47 @@ def test_optimize_over_the_cycle_budget_exits_4(tmp_path, capsys):
                               "--output", str(target)], capsys)
     assert (code, out, err) == (4, "", "error: more than 100000 simple cycles\n")
     assert not target.exists()
+
+
+def test_consecutive_calls_give_the_bytes_of_a_fresh_parser(tmp_path, capsys, monkeypatch):
+    """``main`` keeps one parser for the process; no option of one call
+    leaks into the next."""
+    ham8 = ["eval", "--generator", write(tmp_path, "g8.json", HAM8["generator"]),
+            "--pi", write(tmp_path, "pi8.json", HAM8["pi"])]
+    s2 = ["optimize", "--graph", write(tmp_path, "s2.json", segment_graph(2).to_json()),
+          "--pi", write(tmp_path, "pi3.json", UNIFORM3)]
+    k4 = ["dp", "--graph", write(tmp_path, "k4.json", complete_graph(4).to_json())]
+    argvs = [ham8 + ["--derivatives", "--second"], ham8,
+             s2 + ["--seed", "3"], s2,
+             k4 + ["--mode", "continuous", "--full-set"], k4]
+    kept = [run_cli(argv, capsys) for argv in argvs]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(fastchain.cli, "_parser", None)
+        fresh.append(run_cli(argv, capsys))
+    assert kept == fresh
+    assert all(code == 0 for code, _, _ in kept)
+    assert len({out for _, out, _ in kept}) == len(argvs)
+    assert kept[0][1] == (GOLDEN / "eval_ham8_derivatives_second.json").read_text()
+    assert kept[2][1] == (GOLDEN / "optimize_s2_uniform_seed3.json").read_text()
+
+
+def test_parser_is_built_once_per_process(tmp_path, capsys, monkeypatch):
+    """The first ``main`` call builds the parser, not the import, and later
+    calls reuse it."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c",
+                           "import fastchain.cli as c; assert c._parser is None"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    built = []
+    build = fastchain.cli.build_parser
+    monkeypatch.setattr(fastchain.cli, "_parser", None)
+    monkeypatch.setattr(fastchain.cli, "build_parser", lambda: built.append(1) or build())
+    ppath = write(tmp_path, "pi.json", [0.2, 0.3, 0.5])
+    for argv in (["s2", "--pi", ppath], ["counterexample"], ["s2", "--pi", ppath]):
+        assert run_cli(argv, capsys)[0] == 0
+    assert built == [1]
 
 
 def run_eval_ham8(tmp_path, capsys):
