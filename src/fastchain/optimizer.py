@@ -397,12 +397,18 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
     )
 
 
+# grid points per stacked f_values call of brute_force_minimize: each
+# (block, n, n) temporary holds GRID_BLOCK n^2 doubles
+GRID_BLOCK = 4096
+
+
 def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
                          grid_resolution: int) -> OptimizeReport:
     """Grid scan of the weight simplex; oracle for the conditional-gradient path.
 
     Enumerates all compositions of ``grid_resolution`` over the cycles
-    (at most 6 cycles) and evaluates F on every irreducible grid point.
+    (at most 6 cycles) and evaluates F on every irreducible grid point,
+    ``GRID_BLOCK`` points per stacked :meth:`CyclePolytope.f_values`.
     """
     if grid_resolution < 10:
         raise ValueError("grid_resolution must be at least 10")
@@ -413,7 +419,9 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
     top = grid_resolution + m - 1
     cuts = np.array([(-1, *c, top) for c in itertools.combinations(range(top), m - 1)])
     grid = (np.diff(cuts) - 1) / grid_resolution
-    best_w = grid[int(np.argmin([poly.f_value(w) for w in grid]))].copy()
+    values = np.concatenate([poly.f_values(grid[k:k + GRID_BLOCK])
+                             for k in range(0, len(grid), GRID_BLOCK)])
+    best_w = grid[int(np.argmin(values))].copy()
     f, hvals = poly.f_and_h(best_w)
     return OptimizeReport(
         cycles=poly.cycles,

@@ -120,6 +120,22 @@ def test_brute_force_singleton():
     assert abs(report.f_min - 1.0) <= 1e-12
 
 
+def test_brute_force_blocks_pick_the_per_point_minimizer(monkeypatch):
+    """The grid scored in stacked blocks of 7 rows (1820 points, with
+    reducible ones among them) picks the point, and gives the bits, of the
+    one-point-at-a-time route."""
+    k3, pi = complete_graph(3), ProbabilityVector([0.1, 0.3, 0.6])
+    monkeypatch.setattr(optimizer, "GRID_BLOCK", 7)
+    blocked = brute_force_minimize(k3, pi, 12)
+    stacked = CyclePolytope.f_values
+    monkeypatch.setattr(CyclePolytope, "f_values",
+                        lambda self, ws: np.concatenate([stacked(self, [w]) for w in ws]))
+    single = brute_force_minimize(k3, pi, 12)
+    assert blocked.iterations == single.iterations == 1820
+    assert blocked.weights.tobytes() == single.weights.tobytes()
+    assert (blocked.f_min, blocked.gap) == (single.f_min, single.gap)
+
+
 def test_brute_force_cycle_cap():
     with pytest.raises(TooManyCycles):
         brute_force_minimize(complete_graph(4), ProbabilityVector.uniform(4), 10)
