@@ -2,10 +2,13 @@
 
 The standard encoder's float formatting is not configurable, so reports are
 rendered by this small recursive writer instead.  Identical inputs produce
-byte-identical output.  A float64 array of one or two dimensions is written
-a row at a time, one ``%`` format per row, in the bytes its nested list
-would give entry by entry.  Any other object is written as the document its
-``to_json()`` returns; a :class:`Report` dataclass returns its fields.
+byte-identical output.  Plain floats, dicts and lists of plain ints, most
+of a report, are told apart by their exact type before any other test; a
+list of ints is written with one join.  A float64 array of one or two
+dimensions is written a row at a time, one ``%`` format per row, in the
+bytes its nested list would give entry by entry.  Any other object is
+written as the document its ``to_json()`` returns; a :class:`Report`
+dataclass returns its fields.
 """
 
 from __future__ import annotations
@@ -32,9 +35,9 @@ WHOLE_BELOW = 1e17
 
 
 def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
+    if not math.isfinite(x):
         raise ValueError("reports must contain finite numbers only")
-    if x == int(x) and abs(x) < WHOLE_BELOW:
+    if x.is_integer() and abs(x) < WHOLE_BELOW:
         return f"{x:.1f}"
     return f"{x:.17g}"
 
@@ -67,9 +70,49 @@ def _render_floats(a: np.ndarray, indent: int, pieces: list):
         pieces.append(_block(rows, indent))
 
 
+# escaped dict keys by str(key); reports repeat a few dozen field names
+_KEYS: dict = {}
+_KEYS_MAX = 1024
+
+
+def _escape_key(key) -> str:
+    """The escaped text of a dict key, cached on ``str(key)``: a cache on the
+    key itself would give ``True`` the entry of ``1``, an equal dict key."""
+    s = str(key)
+    text = _KEYS.get(s)
+    if text is None:
+        if len(_KEYS) >= _KEYS_MAX:
+            _KEYS.clear()
+        text = _KEYS[s] = _escape(s)
+    return text
+
+
+def _render_dict(obj: dict, indent: int, pieces: list):
+    if not obj:
+        pieces.append("{}")
+        return
+    pad = "  " * (indent + 1)
+    keys = sorted(obj.keys())
+    last = len(keys) - 1
+    pieces.append("{\n")
+    for k, key in enumerate(keys):
+        pieces.append(pad + _escape_key(key) + ": ")
+        _render(obj[key], indent + 1, pieces)
+        pieces.append(",\n" if k < last else "\n")
+    pieces.append("  " * indent + "}")
+
+
 def _render(obj, indent: int, pieces: list):
-    pad = "  " * indent
-    if obj is None:
+    # the exact types that make up most of a report first; anything else,
+    # subclasses included, takes the general branches below in their order
+    kind = type(obj)
+    if kind is float:
+        pieces.append(_fmt_float(obj))
+    elif kind is dict:
+        _render_dict(obj, indent, pieces)
+    elif (kind is list or kind is tuple) and obj and all(type(v) is int for v in obj):
+        pieces.append(_block([str(v) for v in obj], indent))
+    elif obj is None:
         pieces.append("null")
     elif obj is True:
         pieces.append("true")
@@ -87,18 +130,7 @@ def _render(obj, indent: int, pieces: list):
         else:
             _render(obj.tolist(), indent, pieces)
     elif isinstance(obj, dict):
-        if not obj:
-            pieces.append("{}")
-            return
-        pieces.append("{\n")
-        keys = sorted(obj.keys())
-        for k, key in enumerate(keys):
-            pieces.append("  " * (indent + 1))
-            pieces.append(_escape(str(key)))
-            pieces.append(": ")
-            _render(obj[key], indent + 1, pieces)
-            pieces.append(",\n" if k < len(keys) - 1 else "\n")
-        pieces.append(pad + "}")
+        _render_dict(obj, indent, pieces)
     elif isinstance(obj, (list, tuple)):
         if not obj:
             pieces.append("[]")
@@ -108,7 +140,7 @@ def _render(obj, indent: int, pieces: list):
             pieces.append("  " * (indent + 1))
             _render(item, indent + 1, pieces)
             pieces.append(",\n" if k < len(obj) - 1 else "\n")
-        pieces.append(pad + "]")
+        pieces.append("  " * indent + "]")
     elif hasattr(obj, "to_json"):
         _render(obj.to_json(), indent, pieces)
     else:

@@ -281,12 +281,22 @@ class SimulationReport:
     samples: int
 
 
+# uniforms drawn from the stream at a time by simulate_hitting
+_DRAW_BLOCK = 4096
+
+
 def simulate_hitting(L: Generator, x: int, y: int, samples: int, seed: int) -> SimulationReport:
     """Monte Carlo estimate of E_x[tau_y] and E_x[tau_y^2].
 
     Simulates the jump chain with exponential holding times, all sample
     paths advanced in lockstep; draws come from the frozen counter-based
-    stream so results are bit-reproducible for a given seed.
+    stream so results are bit-reproducible for a given seed.  Each step
+    reads the holding times of the paths still running, then their jump
+    uniforms, from blocks of ``_DRAW_BLOCK`` uniforms; the stream's values
+    do not depend on how its draws are chunked.  A path at s jumps to the
+    first column where the cumulative jump law reaches its uniform, looked
+    up among the columns where that law can first reach it: column 0, the
+    columns of positive probability and the last one.
 
     ``std_error`` is the standard error of the mean estimate,
     ``second_moment_std_error`` the one of the second-moment estimate.
@@ -302,17 +312,31 @@ def simulate_hitting(L: Generator, x: int, y: int, samples: int, seed: int) -> S
     np.fill_diagonal(P, 0.0)
     cum = np.cumsum(P, axis=1)
     cum[:, -1] = 1.0
+    # J[s] lists row s's breakpoint columns, padded with n - 1, and V[s] the
+    # cumulative law there; cum is 1 > u at column n - 1
+    breaks = P > 0
+    breaks[:, 0] = breaks[:, -1] = True
+    width = breaks.sum(axis=1)
+    rows, cols = np.nonzero(breaks)
+    J = np.full((n, width.max()), n - 1)
+    J[rows, np.arange(rows.size) - np.repeat(np.cumsum(width) - width, width)] = cols
+    V = np.take_along_axis(cum, J, axis=1)
 
     stream = RandomStream(seed)
+    drawn, used = np.empty(0), 0
     total = np.zeros(samples)
     idx = np.arange(samples)
     s = np.full(samples, x)
     while idx.size:
-        # one draw per step: k holding times, then k jump uniforms
+        # per step: k holding times, then k jump uniforms, read from the block
         k = idx.size
-        u = stream.uniform(2 * k)
+        if used + 2 * k > drawn.size:
+            drawn = np.concatenate((drawn[used:], stream.uniform(max(_DRAW_BLOCK, 2 * k))))
+            used = 0
+        u = drawn[used:used + 2 * k]
+        used += 2 * k
         total[idx] += -np.log1p(-u[:k]) / rates[s]
-        s = (cum[s] < u[k:, None]).sum(axis=1)
+        s = J[s, (V[s] >= u[k:, None]).argmax(axis=1)]
         running = s != y
         idx, s = idx[running], s[running]
     m1 = float(total.mean())

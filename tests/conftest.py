@@ -16,10 +16,12 @@ package's transitive closure and cycle enumeration.
 """
 
 import heapq
+import math
 
 import numpy as np
 import pytest
 
+from fastchain._serialize import WHOLE_BELOW, _escape, _render_floats
 from fastchain.eigentime import hitting_kernel
 from fastchain.generator import Generator, ProbabilityVector, _CycleArcs, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, enumerate_simple_cycles, segment_graph
@@ -354,3 +356,92 @@ def match_multisets(a, b, tol: float = 1e-7) -> bool:
             return False
         rem.pop(k)
     return not rem
+
+
+def simulate_hitting_oracle(L: Generator, x: int, y: int, samples: int, seed: int) -> tuple:
+    """(mean, second moment) of ``eigentime.simulate_hitting`` by its plain
+    route: 2k uniforms drawn at each step of the k running paths, and the
+    next state counted over the whole cumulative jump law, the number of
+    columns whose cumulative probability is below the uniform."""
+    rates = L.exit_rates()
+    P = L.rates / rates[:, None]
+    np.fill_diagonal(P, 0.0)
+    cum = np.cumsum(P, axis=1)
+    cum[:, -1] = 1.0
+    stream = RandomStream(seed)
+    total = np.zeros(samples)
+    idx, s = np.arange(samples), np.full(samples, x)
+    while idx.size:
+        k = idx.size
+        u = stream.uniform(2 * k)
+        total[idx] += -np.log1p(-u[:k]) / rates[s]
+        s = (cum[s] < u[k:, None]).sum(axis=1)
+        idx, s = idx[s != y], s[s != y]
+    return float(total.mean()), float((total ** 2).mean())
+
+
+def _fmt_float_oracle(x: float) -> str:
+    if math.isnan(x) or math.isinf(x):
+        raise ValueError("reports must contain finite numbers only")
+    if x == int(x) and abs(x) < WHOLE_BELOW:
+        return f"{x:.1f}"
+    return f"{x:.17g}"
+
+
+def _render_oracle(obj, indent: int, pieces: list):
+    pad = "  " * indent
+    if obj is None:
+        pieces.append("null")
+    elif obj is True:
+        pieces.append("true")
+    elif obj is False:
+        pieces.append("false")
+    elif isinstance(obj, (int, np.integer)) and not isinstance(obj, bool):
+        pieces.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        pieces.append(_fmt_float_oracle(float(obj)))
+    elif isinstance(obj, str):
+        pieces.append(_escape(obj))
+    elif isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim in (1, 2) and obj.size:
+            _render_floats(obj, indent, pieces)
+        else:
+            _render_oracle(obj.tolist(), indent, pieces)
+    elif isinstance(obj, dict):
+        if not obj:
+            pieces.append("{}")
+            return
+        pieces.append("{\n")
+        keys = sorted(obj.keys())
+        for k, key in enumerate(keys):
+            pieces.append("  " * (indent + 1))
+            pieces.append(_escape(str(key)))
+            pieces.append(": ")
+            _render_oracle(obj[key], indent + 1, pieces)
+            pieces.append(",\n" if k < len(keys) - 1 else "\n")
+        pieces.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            pieces.append("[]")
+            return
+        pieces.append("[\n")
+        for k, item in enumerate(obj):
+            pieces.append("  " * (indent + 1))
+            _render_oracle(item, indent + 1, pieces)
+            pieces.append(",\n" if k < len(obj) - 1 else "\n")
+        pieces.append(pad + "]")
+    elif hasattr(obj, "to_json"):
+        _render_oracle(obj.to_json(), indent, pieces)
+    else:
+        raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def dumps_oracle(obj) -> str:
+    """``_serialize.dumps`` as it was before its exact-type dispatch: one
+    chain of isinstance tests per value, each key escaped afresh, every
+    list written item by item.  Float64 arrays share the row renderer,
+    which the array tests hold against their nested lists."""
+    pieces: list = []
+    _render_oracle(obj, 0, pieces)
+    pieces.append("\n")
+    return "".join(pieces)

@@ -313,8 +313,10 @@ def test_eval_derivatives_in_small_blocks_keeps_its_bytes(tmp_path, capsys, monk
 
 
 def test_eval_derivatives_chained_term_mismatch_exits_2(tmp_path, capsys, monkeypatch):
-    assembled = fastchain.derivatives.h_cross
-    monkeypatch.setattr(fastchain.derivatives, "h_cross",
+    """A relative error of 1e-6 planted in the stacked assembly of the
+    chained terms exits 2 and writes no report."""
+    assembled = fastchain.derivatives._self_cross
+    monkeypatch.setattr(fastchain.derivatives, "_self_cross",
                         lambda *args: assembled(*args) * (1 + 1e-6))
     code, out, err = run_eval_ham8(tmp_path, capsys)
     assert code == 2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from fastchain.eigentime import IdentityViolation, hitting_kernel, inverse_speed
 from fastchain.generator import (
     Generator,
     ProbabilityVector,
+    _CycleArcs,
     cycle_generator,
     decompose_into_cycles,
 )
@@ -288,20 +291,31 @@ def test_cross_checks_pass_on_stiff_chains(n, weight):
 @pytest.mark.parametrize("rel", [1e-6, 1e-8])
 def test_cross_checks_catch_relative_error_on_stiff_chain(monkeypatch, rel):
     """A small relative error planted in the closed-form route of either
-    check still raises on the stiff chain, where the allowance is widest."""
+    check still raises on the stiff chain, where the allowance is widest:
+    in psi, in the stacked assembly of H_{A,A} and in the two-cycle
+    assembly of H_{B,A} (the 3-cycle through the bottleneck gives a term of
+    1.7e14 against an allowance of 1.1e3)."""
     L, pi, cycles = stiff_path(10, 1e-4)
-    middle = cycles[4]
+    middle, across = cycles[4], Cycle([3, 4, 5])
     kern = hitting_kernel(L, pi)
-    psi_closed, h_assembled = derivatives._psi_closed_form, derivatives.h_cross
+    psi_closed = derivatives._psi_closed_form
+    self_cross, h_assembled = derivatives._self_cross, derivatives.h_cross
     monkeypatch.setattr(derivatives, "_psi_closed_form",
                         lambda *args: psi_closed(*args) * (1 + rel))
     with pytest.raises(IdentityViolation):
         psi_solve(kern, middle, 0)
     monkeypatch.setattr(derivatives, "_psi_closed_form", psi_closed)
+    second_directional(kern, middle)
+    second_directional(kern, middle, across)
+    monkeypatch.setattr(derivatives, "_self_cross",
+                        lambda *args: self_cross(*args) * (1 + rel))
+    with pytest.raises(IdentityViolation, match="chained term mismatch"):
+        second_directional(kern, middle)
+    monkeypatch.setattr(derivatives, "_self_cross", self_cross)
     monkeypatch.setattr(derivatives, "h_cross",
                         lambda *args: h_assembled(*args) * (1 + rel))
-    with pytest.raises(IdentityViolation):
-        second_directional(kern, middle)
+    with pytest.raises(IdentityViolation, match="chained term mismatch"):
+        second_directional(kern, middle, across)
 
 
 def report_fields(reports) -> list:
@@ -347,22 +361,50 @@ def test_derivative_reports_blocks_do_not_move_bits(monkeypatch):
 
 
 def test_derivative_reports_check_every_chained_term(monkeypatch):
-    """A relative error of 1e-6 planted in the arc-sum assembly raises from
-    the stacked pass; without second derivatives nothing is assembled."""
-    kern, cycles = shuffled_member(6, 7)
-    assembled = derivatives.h_cross
-    seen = []
+    """A relative error of 1e-6 planted in the stacked assembly of a single
+    cycle raises from the pass, naming that cycle's solved term: the first
+    cycle, a middle one and the last one, alone in the partial last block of
+    14 cycles in blocks of 3.  Without second derivatives nothing is
+    assembled."""
+    kern, cycles = shuffled_member(6, 1)
+    assert len(cycles) == 14
+    monkeypatch.setattr(derivatives, "CYCLE_BLOCK", 3)
+    self_cross = derivatives._self_cross
+    for target in (0, 7, 13):
+        sizes = []
 
-    def planted(kern, a, b):
-        seen.append(a)
-        return assembled(kern, a, b) * (1 + 1e-6)
+        def planted(kern, arcs):
+            out = self_cross(kern, arcs)
+            start = sum(sizes)
+            sizes.append(arcs.m)
+            if start <= target < start + arcs.m:
+                out[target - start] *= 1 + 1e-6
+            return out
 
-    monkeypatch.setattr(derivatives, "h_cross", planted)
-    with pytest.raises(IdentityViolation, match="chained term mismatch"):
-        derivative_reports(kern, cycles, with_second=True)
-    derivative_reports(kern, cycles, with_second=False)
-    assert seen == cycles[:1]
-    monkeypatch.setattr(derivatives, "h_cross",
-                        lambda kern, a, b: seen.append(a) or assembled(kern, a, b))
-    derivative_reports(kern, cycles, with_second=True)
-    assert seen == cycles[:1] + cycles
+        monkeypatch.setattr(derivatives, "_self_cross", planted)
+        derivative_reports(kern, cycles, with_second=False)
+        assert sizes == []
+        rates = cycle_generator(kern.pi, cycles[target]).rates
+        solved = float(_mean_psi_cross(kern, rates, rates))
+        with pytest.raises(IdentityViolation, match=re.escape(f"vs solved {solved!r}") + "$"):
+            derivative_reports(kern, cycles, with_second=True)
+        assert sizes == [3] * (target // 3) + [3 if target < 12 else 2]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(3, 9), st.integers(0, 2 ** 32 - 1))
+def test_stacked_assembly_matches_h_cross(n, seed):
+    """Each stacked arc-sum agrees with h_cross(kern, A, A) up to the
+    summation order: within 4 eps times the sum of the absolute terms, a
+    bound that does not involve the check's own allowance.  Random mixtures
+    with shuffled cycles, so the length groups mix along the list."""
+    kern, cycles = shuffled_member(n, seed)
+    got = derivatives._self_cross(kern, _CycleArcs(cycles))
+    eps = np.finfo(float).eps
+    for c, value in zip(cycles, got.tolist()):
+        a = np.asarray(c.vertices)
+        b, a1 = a[:, None], np.roll(a, -1)
+        b1 = a1[:, None]
+        terms = (kern.h[b, a1] - kern.h[b, a]) * (kern.E[b1, a] - kern.E[b, a])
+        bound = 4 * eps * float(np.abs(terms).sum()) / len(c) ** 2
+        assert abs(value - h_cross(kern, c, c)) <= bound

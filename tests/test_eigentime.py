@@ -21,7 +21,13 @@ from fastchain.generator import Generator, ProbabilityVector, _CycleArcs, cycle_
 from fastchain.graph import Cycle, complete_graph
 from fastchain.rng import RandomStream
 
-from conftest import anchored_moments, random_member, random_pi
+from conftest import (
+    anchored_moments,
+    random_ham_digraph,
+    random_member,
+    random_pi,
+    simulate_hitting_oracle,
+)
 
 
 def h3(r):
@@ -260,6 +266,49 @@ def test_simulate_hitting_is_pinned(n, x, y, samples, seed, want):
     got = (rep.mean, rep.second_moment, rep.std_error, rep.second_moment_std_error)
     assert got == tuple(float.fromhex(h) for h in want)
     assert rep.samples == samples
+
+
+@pytest.mark.parametrize("x, y, samples, seed, want", [
+    (0, 7, 1500, 15, ("0x1.cde56d2429a48p+2", "0x1.645c6ba9de789p+6",
+                      "0x1.41c5dcb301793p-3", "0x1.123fddbd4c6a8p+2")),
+    (3, 0, 2500, 16, ("0x1.effe7ab20ccc0p+2", "0x1.ac020543a3f36p+6",
+                      "0x1.18afeb5cf4d09p-3", "0x1.0fc7ad1ebb832p+2")),
+])
+def test_simulate_hitting_is_pinned_on_a_sparse_mixture(x, y, samples, seed, want):
+    """The same draw order on a mixture of 4 cycles on 8 states, 17 of the
+    56 off-diagonal rates positive, so most columns of the jump law are
+    plateaus.  1500 paths take 3000 of the first 4096 uniforms in their
+    first step, so the next step reads across a block boundary; the first
+    step of 2500 paths needs more than one block."""
+    pi = ProbabilityVector(np.arange(1.0, 9.0) / 36.0)
+    cycles = [Cycle([0, 1, 2, 3, 4, 5, 6, 7]), Cycle([0, 4, 2]), Cycle([5, 7, 3, 1]),
+              Cycle([6, 2])]
+    L = Generator(sum(w * cycle_generator(pi, c).rates
+                      for w, c in zip((0.4, 0.3, 0.2, 0.1), cycles)))
+    rep = simulate_hitting(L, x, y, samples, seed)
+    got = (rep.mean, rep.second_moment, rep.std_error, rep.second_moment_std_error)
+    assert got == tuple(float.fromhex(h) for h in want)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(3, 9), st.integers(0, 2 ** 32 - 1), st.integers(1, 3000))
+def test_simulate_hitting_matches_the_full_scan(n, seed, samples):
+    """Blocked draws and the breakpoint lookup give the bits of one draw per
+    step and a count over every column, on sparse mixtures.  Every uniform
+    below 0.05 is replaced by an exact 0.0, which the count sends to state
+    0 whatever its probability; the replacement depends on the value only,
+    so both routes see the same stream."""
+    s = RandomStream(seed)
+    pi = random_pi(s, n)
+    L, _, _ = random_member(random_ham_digraph(n, s, extra=0.1), pi, s)
+    x, y = (int(v) for v in s.integers(2, n))
+    uniform = RandomStream.uniform
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(RandomStream, "uniform",
+                   lambda self, k: np.where((u := uniform(self, k)) < 0.05, 0.0, u))
+        rep = simulate_hitting(L, x, y, samples, seed)
+        want = simulate_hitting_oracle(L, x, y, samples, seed) if x != y else (0.0, 0.0)
+    assert (rep.mean, rep.second_moment) == want
 
 
 def test_simulate_matches_analytic_small(uniform_cycle3, random_walk3, pi3):

@@ -1,7 +1,8 @@
 """The float-array path of ``dumps`` against its oracle: the same array as
-nested lists, which renders entry by entry through ``_fmt_float``; and the
+nested lists, which renders entry by entry through ``_fmt_float``; the
 object route, a :class:`Report` against the dict that copied its fields by
-hand."""
+hand; and the exact-type dispatch against the isinstance chain it
+shortcuts (``dumps_oracle``) on random nested documents."""
 
 import json
 import math
@@ -9,11 +10,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastchain._serialize import Report, _escape, dumps
 from fastchain.generator import ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle
 from fastchain.rng import RandomStream
+
+from conftest import dumps_oracle
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -7.0, 12345.0, 9999999999999998.0, -9999999999999998.0,
            1e16, -1e16, 1.5e16, -1.5e16, 2.0 ** 53, 2.0 ** 53 + 2, 1e300, -1e300, 1e-300,
@@ -153,3 +158,60 @@ def test_report_renders_as_its_hand_written_dict():
 def test_object_without_to_json_is_refused(obj):
     with pytest.raises(TypeError, match="cannot serialize"):
         dumps({"a": [obj]})
+
+
+@dataclass(frozen=True)
+class _Node(Report):
+    value: object
+    label: str
+
+
+_BELOW, _ABOVE = float(np.nextafter(1e17, 0.0)), float(np.nextafter(1e17, 2e17))
+_EDGE_FLOATS = [0.0, -0.0, 1.0, -2.0, 1e16, -1.5e16, 1e17, -1e17, _BELOW, _ABOVE, -_BELOW,
+                2.0 ** 53 + 2, 0.1, 5e-324]
+_FLOATS = st.sampled_from(_EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False) \
+    | st.integers(-2 ** 60, 2 ** 60).map(float)
+_TEXT = st.text(st.sampled_from('az"\\\x00\x01\n\t\x1f\x7f é\U0001f600'), max_size=6)
+_INTS = st.integers(-2 ** 63, 2 ** 63 - 1)
+_LEAVES = (
+    _FLOATS | _FLOATS.map(np.float64) | _INTS | _INTS.map(np.int64) | st.booleans() | st.none()
+    | _TEXT | st.lists(_INTS, max_size=5) | st.lists(_INTS, max_size=5).map(tuple)
+    | st.lists(_INTS | st.booleans() | _INTS.map(np.int64), max_size=4)
+    | st.lists(_FLOATS, max_size=4).map(np.array)
+    | st.lists(_FLOATS, min_size=2, max_size=6).map(lambda v: np.array(v[:len(v) // 2 * 2]).reshape(2, -1))
+    | st.lists(_INTS, max_size=4).map(np.array)
+    | st.lists(_INTS, min_size=2, max_size=6).map(lambda v: np.array(v[:len(v) // 2 * 2]).reshape(-1, 2))
+    | st.sampled_from([{}, [], ()])
+)
+_DOCS = st.recursive(_LEAVES, lambda children: (
+    st.lists(children, max_size=4) | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4)
+    | st.builds(_Node, children, _TEXT)), max_leaves=24)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_DOCS)
+def test_dumps_gives_the_bytes_of_the_isinstance_chain(doc):
+    """Nested documents of every value kind a report holds render the bytes
+    of the isinstance chain: -0.0, whole floats and the doubles on either
+    side of 1e17, numpy scalars, bools, None, strings with control
+    characters, empty containers, Report dataclasses and 1-D and 2-D float
+    and int arrays."""
+    assert dumps(doc) == dumps_oracle(doc)
+    assert dumps({"doc": [doc, doc]}) == dumps_oracle({"doc": [doc, doc]})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_non_finite_values_are_refused_anywhere(bad):
+    for doc in (bad, [bad], {"a": {"b": bad}}, _Node(value=(1, bad), label="x")):
+        with pytest.raises(ValueError, match="finite numbers only"):
+            dumps(doc)
+
+
+def test_keys_are_escaped_by_their_text():
+    """True and 1 are the same dict key but render as "True" and "1", in
+    either order; a bool in a list of ints is written as a bool."""
+    assert dumps({True: 0.5}) == '{\n  "True": 0.5\n}\n'
+    assert dumps({1: 0.5}) == '{\n  "1": 0.5\n}\n'
+    assert dumps({True: 0.5}) == '{\n  "True": 0.5\n}\n'
+    assert dumps([1, True]) == dumps_oracle([1, True]) == "[\n  1,\n  true\n]\n"
