@@ -14,7 +14,6 @@ __version__ = "0.1.0"
 from .derivatives import (
     DerivativeReport,
     DirectionInvalid,
-    derivative_report,
     derivative_reports,
     directional_derivative,
     h_cross,
@@ -95,6 +94,7 @@ from .graph import (
     segment_graph,
 )
 from .optimizer import (
+    Certificate,
     EpsilonNeighborhood,
     OptimizeReport,
     StationarityReport,

@@ -10,7 +10,7 @@ report embeds a ``checks`` block with the identity residuals verified
 during the run.
 
 Exit codes: 0 success, 2 bad input, 3 numeric failure (no convergence or
-exhausted search), 4 enumeration budget exceeded.
+exhausted search), 4 enumeration budget or DP state space exceeded.
 """
 
 from __future__ import annotations
@@ -33,7 +33,12 @@ from .discrete_time import (
     to_generator,
     to_kernel,
 )
-from .dp import continuous_value_function, discrete_value_function, extract_policy_path
+from .dp import (
+    StateSpaceTooLarge,
+    continuous_value_function,
+    discrete_value_function,
+    extract_policy_path,
+)
 from .eigentime import (
     eigentime_spectral,
     hitting_kernel,
@@ -160,7 +165,7 @@ def _cmd_discrete(args) -> tuple:
         raise InputError("discrete needs --kernel (or --compare with --graph)")
     K = _load(args.kernel, Kernel.from_json, "kernel")
     pi = _load(args.pi, ProbabilityVector, "probability")
-    kern = hitting_kernel(K.clock(), pi)
+    kern = hitting_kernel(K.clock, pi)  # to_generator reads the same clock
     value = kern.f
     trace = float(np.trace(kern.Z))
     spectral = discrete_eigentime_spectral(K)
@@ -201,7 +206,7 @@ def _cmd_s2(args) -> tuple:
                                  [Cycle([0, 1]), Cycle([1, 2])])
     checks = {
         "stationarity_gap": station.max_gap,
-        "f_vs_hitting": abs(report.f_min - inverse_speed(report.generator, pi)),
+        "f_vs_hitting": abs(report.f_min - station.f),
     }
     return {**report.to_json(), "checks": checks}, 0
 
@@ -346,7 +351,7 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise InputError(f"cannot write {args.output}: {exc}") from exc
         return code
-    except CycleBudgetExceeded as exc:
+    except (CycleBudgetExceeded, StateSpaceTooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
     except SearchExhausted as exc:

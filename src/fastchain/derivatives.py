@@ -51,7 +51,6 @@ __all__ = [
     "h_cross",
     "directional_derivative",
     "second_directional",
-    "derivative_report",
     "derivative_reports",
 ]
 
@@ -275,9 +274,3 @@ def derivative_reports(kern: HittingKernel, cycles,
                     for h, s in zip(h_a.tolist(), second)]
     return reports
 
-
-def derivative_report(kern: HittingKernel, cycle: Cycle,
-                      with_second: bool = False) -> DerivativeReport:
-    """F, H_A, first and (optionally) second derivative along one cycle: the
-    one-cycle case of :func:`derivative_reports`."""
-    return derivative_reports(kern, [cycle], with_second)[0]

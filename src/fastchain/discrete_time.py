@@ -6,7 +6,7 @@ form sum over the non-unit spectrum of 1/(1 - theta) and Hunter's trace
 form 1 + value = tr (I - K + Pi)^{-1}.
 
 A kernel is evaluated on the continuous engine through its clock generator
-K - I (:meth:`Kernel.clock`): the steps of K taken at the rings of a
+K - I (:attr:`Kernel.clock`): the steps of K taken at the rings of a
 unit-rate Poisson clock have the same mean hitting times, counted in steps.
 The clock's Pi - L is Hunter's I - K + Pi bit for bit, because
 fl(K(x,x) - 1) = -fl(1 - K(x,x)), so the discrete inverse speed and
@@ -30,6 +30,7 @@ continuous infimum never exceeds the discrete one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -92,9 +93,11 @@ class Kernel:
     def from_json(cls, obj: dict) -> "Kernel":
         return cls(np.asarray(obj["rates"], dtype=float))
 
+    @cached_property
     def clock(self) -> Generator:
         """The generator K - I: the steps of K taken at the rings of a
-        unit-rate Poisson clock, with the same mean hitting times in steps."""
+        unit-rate Poisson clock, with the same mean hitting times in steps.
+        Built on the first read and kept."""
         return Generator(self.entries - np.eye(self.n))
 
 
@@ -107,7 +110,7 @@ def frak_f(K: Kernel, pi: ProbabilityVector) -> float:
     NotIrreducible
     NotInvariant
     """
-    return hitting_kernel(K.clock(), pi).f
+    return hitting_kernel(K.clock, pi).f
 
 
 def discrete_eigentime_spectral(K: Kernel) -> float:
@@ -118,7 +121,7 @@ def discrete_eigentime_spectral(K: Kernel) -> float:
         raise NotIrreducible("unit eigenvalue is not simple")
     s = np.sum(1.0 / (1.0 - vals[order[1:]]))
     if abs(s.imag) > 1e-8:
-        raise ArithmeticError(f"spectral sum has imaginary part {s.imag!r}")
+        raise ArithmeticError(f"spectral sum has imaginary part {float(s.imag)!r}")
     return float(s.real)
 
 
@@ -134,7 +137,7 @@ def hunter_trace(K: Kernel, pi: ProbabilityVector) -> float:
     NotIrreducible
     NotInvariant
     """
-    return float(np.trace(hitting_kernel(K.clock(), pi).Z))
+    return float(np.trace(hitting_kernel(K.clock, pi).Z))
 
 
 def to_kernel(L: Generator) -> tuple:
@@ -159,7 +162,7 @@ def to_generator(K: Kernel, pi: ProbabilityVector) -> tuple:
     discrete inverse speed of K divided by k.  Raises
     :class:`IdentityKernel` when K has no off-diagonal mass.
     """
-    clock = K.clock()
+    clock = K.clock
     _require_invariant(clock, pi)
     loss = equilibrium_rate(clock, pi)
     if loss <= 1e-12:
@@ -192,7 +195,7 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> We
     report = frank_wolfe_minimize(g, pi, seed=seed, extra_starts=8, polytope=poly)
 
     def discrete_objective(w: np.ndarray) -> float:
-        return float((-np.diag(poly.rates(w))).max()) * poly.f_value(w)
+        return float((-np.diag(poly.rates(w))).max()) * poly.f_values([w])[0]
 
     # the continuous minimizer is the natural warm start: when its exit
     # rates are constant it is already the discrete minimizer

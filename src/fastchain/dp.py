@@ -219,7 +219,7 @@ def continuous_value_function(g: DirectedGraph, budgets) -> ValueTable:
     if a.shape != (g.n,) or not np.all(np.isfinite(a) & (a > 0)):
         raise BudgetInvalid("budgets must be finite and positive, one per vertex")
     if abs(a.sum() - g.n) > 1e-9:
-        raise BudgetInvalid(f"budgets must sum to n={g.n}, got {a.sum()!r}")
+        raise BudgetInvalid(f"budgets must sum to n={g.n}, got {float(a.sum())!r}")
     return replace(_solve_table(g, lambda i, size: size / a[i]), budgets=a)
 
 

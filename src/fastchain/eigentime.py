@@ -27,6 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._serialize import Report
 from .generator import Generator, ProbabilityVector, _require_invariant, _require_irreducible
 from .graph import Cycle
 from .rng import RandomStream
@@ -78,23 +79,14 @@ class Spectrum:
 
 
 @dataclass(frozen=True)
-class HittingReport:
+class HittingReport(Report):
     """Bundle of all hitting-time functionals of one generator."""
 
     expectations: np.ndarray
     second_moments: np.ndarray
     kemeny: float
     f_value: float
-    h: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "expectations": self.expectations,
-            "second_moments": self.second_moments,
-            "kemeny": self.kemeny,
-            "f_value": self.f_value,
-            "h_matrix": self.h,
-        }
+    h_matrix: np.ndarray
 
 
 def _fundamental(A: np.ndarray, p: np.ndarray) -> tuple:
@@ -159,7 +151,7 @@ class HittingKernel:
             second_moments=self.second_moments,
             kemeny=float(self.kemeny.mean()),
             f_value=self.f,
-            h=self.h,
+            h_matrix=self.h,
         )
 
 
@@ -212,7 +204,7 @@ def spectrum(L: Generator) -> Spectrum:
     vals = vals[order]
     if len(vals) > 1 and abs(vals[1]) < ZERO_EIGEN_TOL:
         raise SpectrumAmbiguous(
-            f"second-smallest eigenvalue magnitude {abs(vals[1])!r} < {ZERO_EIGEN_TOL}")
+            f"second-smallest eigenvalue magnitude {float(abs(vals[1]))!r} < {ZERO_EIGEN_TOL}")
     kept = sorted(vals[1:], key=lambda z: (z.real, z.imag))
     return Spectrum(tuple(complex(z) for z in kept))
 

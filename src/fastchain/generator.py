@@ -68,7 +68,7 @@ class ProbabilityVector:
         if not np.all(np.isfinite(w) & (w > 0)):
             raise ValueError("probabilities must be finite and strictly positive")
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1, got {w.sum()!r}")
+            raise ValueError(f"probabilities must sum to 1, got {float(w.sum())!r}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
@@ -109,7 +109,7 @@ class Generator:
             raise ValueError("off-diagonal rates must be nonnegative")
         rows = np.abs(r.sum(axis=1))
         if np.any(rows > ROW_SUM_TOL * max(1.0, scale)):
-            raise ValueError(f"row sums must vanish, max residual {rows.max()!r}")
+            raise ValueError(f"row sums must vanish, max residual {float(rows.max())!r}")
         r.flags.writeable = False
         object.__setattr__(self, "rates", r)
 

@@ -12,7 +12,7 @@ and drop weights exactly.
 
 A line search brackets the minimum with 33 presamples of F, evaluated by
 :meth:`CyclePolytope.f_values` as one stacked inverse, and then closes the
-bracket on a root of the exact slope (:meth:`CyclePolytope.slope`) by
+bracket on a root of the exact slope (:meth:`CyclePolytope.slope_and_f`) by
 Brent's method, about 5 single inverses where bisection took about 30.
 Near the optimum a step gains less in F than F's rounding, while the slope
 is still resolved, so the search keeps closing the gap there.  An
@@ -41,6 +41,7 @@ from .graph import DirectedGraph, _support_strongly_connected, enumerate_simple_
 from .rng import RandomStream
 
 __all__ = [
+    "Certificate",
     "OptimizeReport",
     "StationarityReport",
     "EpsilonNeighborhood",
@@ -63,29 +64,23 @@ class TooManyCycles(RuntimeError):
 
 
 @dataclass(frozen=True)
-class OptimizeReport:
+class Certificate(Report):
+    """First-order certificate: H_A of every enumerated cycle and the gap
+    max_A H_A - F, which vanishes exactly at minimizers."""
+
+    h_values: np.ndarray
+    gap: float
+
+
+@dataclass(frozen=True)
+class OptimizeReport(Report):
     cycles: tuple
     weights: np.ndarray
     minimizer: Generator
     f_min: float
-    h_values: np.ndarray
-    gap: float
+    certificate: Certificate
     iterations: int
     converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "cycles": self.cycles,
-            "weights": self.weights,
-            "minimizer": self.minimizer,
-            "f_min": self.f_min,
-            "certificate": {
-                "h_values": self.h_values,
-                "gap": self.gap,
-            },
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
 
 
 class CyclePolytope:
@@ -127,14 +122,6 @@ class CyclePolytope:
         n = self.pi.n
         return (w @ self._flat).reshape(n, n)
 
-    def is_irreducible(self, w: np.ndarray) -> bool:
-        return self._irreducible(self.rates(w) > 0)
-
-    def f_value(self, w: np.ndarray) -> float:
-        """F of the mixture, +inf when the support is not irreducible: the
-        one-row case of :meth:`f_values`."""
-        return float(self.f_values([w])[0])
-
     def f_values(self, ws: np.ndarray) -> np.ndarray:
         """F of every row of ``ws``, with one stacked inverse over the
         irreducible rows (reducible rows, which would be singular, get +inf
@@ -170,17 +157,12 @@ class CyclePolytope:
         p = self.pi.weights
         return float(p @ E @ p), self._arcs.means(h)
 
-    def slope(self, w: np.ndarray, d_rates: np.ndarray) -> float:
-        """Derivative of F at the mixture ``w`` along the rate matrix
-        ``d_rates``: -sum_{x,y} pi(x) D(x, y) h(x, y), +inf when the support
-        is not irreducible.  The diagonal of h is zero, so for D = L_A - L
-        this is the paper's F - H_A."""
-        return self.slope_and_f(w, d_rates)[0]
-
     def slope_and_f(self, w: np.ndarray, d_rates: np.ndarray) -> tuple:
-        """:meth:`slope` together with F at ``w`` from the same inverse, in
-        the bits of :meth:`f_value`; (inf, inf) when the support is not
-        irreducible."""
+        """Derivative of F at the mixture ``w`` along the rate matrix
+        ``d_rates``, -sum_{x,y} pi(x) D(x, y) h(x, y), together with F at
+        ``w`` from the same inverse, in the bits of :meth:`f_values`;
+        (inf, inf) when the support is not irreducible.  The diagonal of h
+        is zero, so for D = L_A - L the slope is the paper's F - H_A."""
         kernel = self._kernel(w)
         if kernel is None:
             return np.inf, np.inf
@@ -267,7 +249,7 @@ def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
     points out of the segment, that exact endpoint is returned: a step lands
     on a vertex exactly when the slope stays negative to the end of the
     segment.  Otherwise the presample intervals next to the minimum bracket
-    a root of the exact slope (:meth:`CyclePolytope.slope`), which
+    a root of the exact slope (:meth:`CyclePolytope.slope_and_f`), which
     :func:`_zeroin` closes to width ``BISECT_TOL``, and F at that root is
     read from the inverse its slope was taken from.  The slope is resolved
     to about eps M(L) also where differences of F are lost in F's rounding.
@@ -390,8 +372,7 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
         weights=w,
         minimizer=Generator(poly.rates(w)),
         f_min=f,
-        h_values=hvals,
-        gap=gap,
+        certificate=Certificate(h_values=hvals, gap=gap),
         iterations=iterations,
         converged=gap <= tol,
     )
@@ -428,8 +409,7 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
         weights=best_w,
         minimizer=Generator(poly.rates(best_w)),
         f_min=f,
-        h_values=hvals,
-        gap=float(hvals.max() - f),
+        certificate=Certificate(h_values=hvals, gap=float(hvals.max() - f)),
         iterations=len(grid),
         converged=True,
     )

@@ -170,7 +170,7 @@ def closure_oracle(rates: np.ndarray) -> bool:
 
 def f_value_oracle(poly, w: np.ndarray) -> float:
     """F of a cycle mixture by the plain per-point route, which
-    ``CyclePolytope.f_value`` must reproduce bit for bit: rates by
+    ``CyclePolytope.f_values`` must reproduce bit for bit: rates by
     ``tensordot`` over the arc-loop cycle rates, the closure above,
     ``tile(pi) - rates`` inverted, and ``pi E pi``."""
     p = poly.pi.weights

@@ -4,12 +4,15 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import fastchain.cli
 import fastchain.derivatives
+import fastchain.discrete_time
 from fastchain.cli import main
 from fastchain.discrete_time import to_kernel
+from fastchain.generator import Generator
 from fastchain.graph import complete_graph, hypercube_graph, segment_graph
 
 
@@ -59,7 +62,24 @@ def test_eval_rejects_non_invariant_pi(ham3_file, tmp_path, capsys):
     ppath = write(tmp_path, "pi.json", [0.5, 0.25, 0.25])
     code, out, err = run_cli(["eval", "--generator", ham3_file, "--pi", ppath], capsys)
     assert code == 2 and out == ""
-    assert "residual" in err
+    assert "residual" in err and "np.float64" not in err
+
+
+@pytest.mark.parametrize("args, inputs, detail", [
+    (["eval"], {"--generator": {"n": 3, "rates": [[-1, 1, 0], [0, -1, 1], [1, 0, 0]]}},
+     "bad generator file {}: row sums must vanish, max residual 1.0"),
+    (["eval"], {"--generator": {"n": 3, "rates": [[-1, 1, 0], [0, -1, 1], [1, 0, -1]]},
+                "--pi": [0.5, 0.5, 0.5]},
+     "bad probability file {}: probabilities must sum to 1, got 1.5"),
+    (["dp", "--mode", "continuous"], {"--graph": complete_graph(3).to_json(), "--budgets": [1, 1, 2]},
+     "budgets must sum to n=3, got 4.0"),
+], ids=["generator", "pi", "budgets"])
+def test_error_messages_print_plain_floats(tmp_path, capsys, args, inputs, detail):
+    """A numpy scalar in an error message prints as a plain float, not as
+    ``np.float64(1.0)`` (numpy 2's repr).  The path named is the last input."""
+    argv = write_inputs(tmp_path, args, inputs)
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {detail.format(argv[-1])}\n")
 
 
 def test_eval_rejects_non_finite_pi(ham3_file, tmp_path, capsys):
@@ -256,6 +276,21 @@ def test_optimize_over_the_cycle_budget_exits_4(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("mode", ["discrete", "continuous"])
+def test_dp_past_the_state_space_exits_4(tmp_path, capsys, mode):
+    """A 21-vertex ring is past the DP's 20-bit subsets: exit 4, one error
+    line, and neither stdout nor an --output file.  It used to end in a
+    StateSpaceTooLarge traceback and exit 1.  The check comes before any
+    table is allocated."""
+    n = 21
+    gpath = write(tmp_path, "ring.json", {"n": n, "edges": [[v, (v + 1) % n] for v in range(n)]})
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(["dp", "--graph", gpath, "--mode", mode, "--output", str(target)],
+                             capsys)
+    assert (code, out, err) == (4, "", "error: n=21 exceeds 20-bit subsets\n")
+    assert not target.exists()
+
+
 def test_consecutive_calls_give_the_bytes_of_a_fresh_parser(tmp_path, capsys, monkeypatch):
     """``main`` keeps one parser for the process; no option of one call
     leaks into the next."""
@@ -428,6 +463,29 @@ def test_discrete_kernel_roundtrips_only_a_k0_kernel(tmp_path, pi3_file, capsys,
     assert code == 0 and len(seen) == calls
     roundtrip = json.loads(out)["checks"]["roundtrip_if_k0"]
     assert roundtrip <= 1e-12 if k0 else roundtrip == 0.0
+
+
+@pytest.mark.parametrize("args, inputs, golden", [c for c in REPORT_CASES if c[0] == ["discrete"]])
+def test_discrete_kernel_builds_one_clock(tmp_path, capsys, monkeypatch, args, inputs, golden):
+    """``discrete --kernel`` builds two generators, the clock K - I (read by
+    the hitting kernel and by ``to_generator``) and the normalized L, and
+    prints its golden bytes."""
+    built = []
+    monkeypatch.setattr(fastchain.discrete_time, "Generator",
+                        lambda rates: built.append(rates) or Generator(rates))
+    code, out, _ = run_cli(write_inputs(tmp_path, args, inputs), capsys)
+    assert (code, out) == (0, (GOLDEN / golden).read_text())
+    assert len(built) == 2
+
+
+def test_s2_takes_one_inverse(tmp_path, capsys, monkeypatch):
+    """``s2`` reads ``f_vs_hitting`` from the F of the stationarity check, so
+    the run inverts Pi - L once, and prints its golden bytes."""
+    inverses = []
+    monkeypatch.setattr(np.linalg, "inv", lambda a, inv=np.linalg.inv: inverses.append(a) or inv(a))
+    code, out, _ = run_cli(write_inputs(tmp_path, ["s2"], {"--pi": [0.2, 0.3, 0.5]}), capsys)
+    assert (code, out) == (0, (GOLDEN / "s2_pi235.json").read_text())
+    assert len(inverses) == 1
 
 
 def test_discrete_kernel_command_rejects_reducible_kernel(tmp_path, capsys):

@@ -9,7 +9,6 @@ import fastchain.derivatives as derivatives
 from fastchain.derivatives import (
     DirectionInvalid,
     _mean_psi_cross,
-    derivative_report,
     derivative_reports,
     directional_derivative,
     h_cross,
@@ -215,8 +214,8 @@ def test_hamiltonian_ascent_margin_small_n():
             assert f - kern.h_cycle(c) >= (n - 1) / (2 * n) - 1e-10
 
 
-def test_derivative_report(uniform_cycle3, pi3):
-    rep = derivative_report(hitting_kernel(uniform_cycle3, pi3), Cycle([0, 1]), with_second=True)
+def test_derivative_reports_of_one_cycle(uniform_cycle3, pi3):
+    rep, = derivative_reports(hitting_kernel(uniform_cycle3, pi3), [Cycle([0, 1])], with_second=True)
     assert abs(rep.first - (rep.f_value - rep.h_cycle)) <= 1e-12
     assert abs(rep.first) <= rep.m_bound + rep.m_bound ** 2
     assert rep.second is not None
@@ -341,7 +340,7 @@ def test_derivative_reports_match_the_per_cycle_route(n, seed, with_second):
     kern, cycles = shuffled_member(n, seed)
     got = derivative_reports(kern, cycles, with_second=with_second)
     assert report_fields(got) == derivative_reports_oracle(kern, cycles, with_second)
-    assert [derivative_report(kern, c, with_second) for c in cycles[:3]] == got[:3]
+    assert [derivative_reports(kern, [c], with_second)[0] for c in cycles[:3]] == got[:3]
     if with_second:
         assert [second_directional(kern, c) for c in cycles[:3]] == [r.second for r in got[:3]]
 

@@ -55,7 +55,7 @@ def test_kernel_rejects_non_finite():
 
 def test_permutation_kernel_values(pi3):
     K = perm3()
-    E = hitting_kernel(K.clock(), pi3).E
+    E = hitting_kernel(K.clock, pi3).E
     assert_allclose(E, [[0, 1, 2], [2, 0, 1], [1, 2, 0]], atol=1e-13)
     assert abs(frak_f(K, pi3) - 1.0) <= 1e-12
     assert abs(discrete_eigentime_spectral(K) - 1.0) <= 1e-10
@@ -73,7 +73,7 @@ def test_discrete_hitting_times_match_first_step_oracle():
         lazy = Kernel(0.5 * K.entries + 0.5 * np.eye(n))
         for kern in (K, lazy):
             want = first_step_hitting_times(kern)
-            got = hitting_kernel(kern.clock(), pi).E
+            got = hitting_kernel(kern.clock, pi).E
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 

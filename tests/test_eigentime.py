@@ -111,7 +111,7 @@ def test_kernel_forms_h_on_first_read(random_walk3, pi3):
     assert not lazy & set(vars(kern))
     M2 = kern.second_moments
     assert "h" in vars(kern)
-    assert kern.second_moments is M2 and kern.h is kern.report().h
+    assert kern.second_moments is M2 and kern.h is kern.report().h_matrix
 
 
 def test_spectral_second_identity_examples(uniform_cycle3, random_walk3, pi3):

@@ -63,7 +63,7 @@ def test_iterates_monotone_certificate(s2):
     pi = ProbabilityVector([0.15, 0.45, 0.4])
     report = frank_wolfe_minimize(s2, pi, seed=2)
     assert report.converged
-    assert report.gap <= 1e-8
+    assert report.certificate.gap <= 1e-8
     assert abs(inverse_speed(report.minimizer, pi) - report.f_min) <= 1e-10
     assert report.weights.min() >= 0 and abs(report.weights.sum() - 1) <= 1e-12
 
@@ -79,19 +79,20 @@ def test_frank_wolfe_converges_on_segment_graphs(segments):
     poly = CyclePolytope(g, pi)
     for seed in range(60):
         report = frank_wolfe_minimize(g, pi, seed=seed, polytope=poly)
-        assert report.converged and report.gap <= 1e-8, seed
+        assert report.converged and report.certificate.gap <= 1e-8, seed
 
 
 def test_frank_wolfe_converges_on_k5_skewed_pi():
     pi = ProbabilityVector(np.arange(1, 6) / 15.0)
     report = frank_wolfe_minimize(complete_graph(5), pi, seed=0)
-    assert report.converged and report.gap <= 1e-8
+    assert report.converged and report.certificate.gap <= 1e-8
     assert abs(inverse_speed(report.minimizer, pi) - report.f_min) <= 1e-12
 
 
 def test_slope_is_the_closed_form_derivative():
-    """CyclePolytope.slope along L_A - L is F - H_A, along L_A - L_B it is
-    H_B - H_A, and both match central differences of F."""
+    """The slope of CyclePolytope.slope_and_f along L_A - L is F - H_A,
+    along L_A - L_B it is H_B - H_A, and both match central differences of
+    F."""
     stream = RandomStream(403)
     poly = CyclePolytope(complete_graph(4), random_pi(stream, 4))
     w = stream.spawn(0).simplex(poly.m)
@@ -99,13 +100,13 @@ def test_slope_is_the_closed_form_derivative():
     eye = np.eye(poly.m)
     for s, a in ((0, 5), (3, 1), (7, 2)):
         for d, closed in ((eye[s] - w, f - hvals[s]), (eye[s] - eye[a], hvals[a] - hvals[s])):
-            slope = poly.slope(w, poly.rates(d))
+            slope, _ = poly.slope_and_f(w, poly.rates(d))
             assert abs(slope - closed) <= 1e-12
             step = 1e-6
-            diff = (poly.f_value(w + step * d) - poly.f_value(w - step * d)) / (2 * step)
+            diff = (poly.f_values([w + step * d])[0] - poly.f_values([w - step * d])[0]) / (2 * step)
             assert abs(slope - diff) <= 1e-7
     e_0 = eye[0]
-    assert poly.slope(e_0, poly.rates(e_0)) == np.inf  # a 2-cycle alone is reducible
+    assert poly.slope_and_f(e_0, poly.rates(e_0))[0] == np.inf  # a 2-cycle alone is reducible
 
 
 def test_brute_force_s2(pi3, s2):
@@ -133,7 +134,7 @@ def test_brute_force_blocks_pick_the_per_point_minimizer(monkeypatch):
     single = brute_force_minimize(k3, pi, 12)
     assert blocked.iterations == single.iterations == 1820
     assert blocked.weights.tobytes() == single.weights.tobytes()
-    assert (blocked.f_min, blocked.gap) == (single.f_min, single.gap)
+    assert (blocked.f_min, blocked.certificate.gap) == (single.f_min, single.certificate.gap)
 
 
 def test_brute_force_cycle_cap():
@@ -261,7 +262,7 @@ def test_support_reachability_does_not_overflow():
     gives NaN, which is truthy.  No arcs into vertex 0 must still read as
     reducible; one arc into it makes the support strongly connected.  (A
     CyclePolytope on such a support would need its astronomically many cycles
-    enumerated, so the test calls the helper behind is_irreducible.)"""
+    enumerated, so the test calls the closure behind CyclePolytope._irreducible.)"""
     n = 300
     rates = np.ones((n, n))
     rates[:, 0] = 0.0
@@ -272,14 +273,18 @@ def test_support_reachability_does_not_overflow():
     assert _support_strongly_connected(rates)
 
 
-def test_is_irreducible_small_supports():
+def irreducible(poly, w) -> bool:
+    return poly._irreducible(poly.rates(w) > 0)
+
+
+def test_irreducibility_of_small_supports():
     pi = ProbabilityVector.uniform(4)
     poly = CyclePolytope(complete_graph(4), pi)
     for k, c in enumerate(poly.cycles):
         w = np.zeros(poly.m)
         w[k] = 1.0
-        assert poly.is_irreducible(w) == (len(c) == 4)
-    assert poly.is_irreducible(np.full(poly.m, 1.0 / poly.m))
+        assert irreducible(poly, w) == (len(c) == 4)
+    assert irreducible(poly, np.full(poly.m, 1.0 / poly.m))
 
 
 POLYTOPE_GRAPHS = {"K3": complete_graph(3), "K4": complete_graph(4),
@@ -301,11 +306,11 @@ def _outcome(fn, *args):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.sampled_from(sorted(POLYTOPE_GRAPHS)), st.integers(0, 2 ** 32 - 1))
 def test_polytope_evaluations_are_bitwise_the_per_point_route(name, seed):
-    """f_value, f_values, rates and is_irreducible equal the plain per-point
-    route exactly (==, no tolerance, the same LinAlgError where it raises)
-    along line-search segments: toward a vertex (reducible unless
-    Hamiltonian) and pairwise, from points with zero weights and with a
-    subnormal weight whose terms may underflow."""
+    """f_values (of a stack and of one row), rates and the irreducibility
+    verdict equal the plain per-point route exactly (==, no tolerance, the
+    same LinAlgError where it raises) along line-search segments: toward a
+    vertex (reducible unless Hamiltonian) and pairwise, from points with zero
+    weights and with a subnormal weight whose terms may underflow."""
     g = POLYTOPE_GRAPHS[name]
     stream = RandomStream(seed)
     poly = CyclePolytope(g, random_pi(stream.spawn(0), g.n, spread=0.9))
@@ -325,11 +330,11 @@ def test_polytope_evaluations_are_bitwise_the_per_point_route(name, seed):
         expect = [_outcome(f_value_oracle, poly, x) for x in ws]
         stacked = _outcome(poly.f_values, ws)
         assert stacked == "singular" if "singular" in expect else stacked.tolist() == expect
-        assert [_outcome(poly.f_value, x) for x in ws] == expect
+        assert [_outcome(lambda x: poly.f_values([x])[0], x) for x in ws] == expect
         for x in ws:
             rates = np.tensordot(x, mats, axes=1)
             assert np.array_equal(poly.rates(x), rates)
-            assert poly.is_irreducible(x) == closure_oracle(rates)
+            assert irreducible(poly, x) == closure_oracle(rates)
 
 
 @pytest.mark.parametrize("tiny_first", [False, True])
@@ -350,10 +355,10 @@ def test_irreducibility_memo_follows_underflow(tiny_first):
     assert rates[0, 1] == 0.0 and rates[2, 0] > 0.0 and not closure_oracle(rates)
     order = [tiny, normal] if tiny_first else [normal, tiny]
     for w in order:
-        assert poly.is_irreducible(w) == (w is normal)
-        assert poly.f_value(w) == f_value_oracle(poly, w)
+        assert irreducible(poly, w) == (w is normal)
+        assert poly.f_values([w])[0] == f_value_oracle(poly, w)
     assert poly.f_values(np.stack(order)).tolist() == [f_value_oracle(poly, w) for w in order]
-    assert poly.f_value(tiny) == np.inf and np.isfinite(poly.f_value(normal))
+    assert poly.f_values([tiny])[0] == np.inf and np.isfinite(poly.f_values([normal])[0])
 
 
 @pytest.mark.parametrize("n", [4, 5])
@@ -418,7 +423,7 @@ def bisection_line_search(poly, point, direction, lo, hi):
     d_rates = poly.rates(direction)
 
     def slope(t):
-        return poly.slope(point(t), d_rates)
+        return poly.slope_and_f(point(t), d_rates)[0]
 
     k = int(np.argmin(vals))
     if k == 0 and slope(lo) >= 0:
@@ -426,7 +431,7 @@ def bisection_line_search(poly, point, direction, lo, hi):
     if k == PRESAMPLES - 1 and slope(hi) <= 0:
         return hi, float(vals[-1])
     t, _ = bisect(slope, float(ts[max(k - 1, 0)]), float(ts[min(k + 1, PRESAMPLES - 1)]))
-    return t, poly.f_value(point(t))
+    return t, poly.f_values([point(t)])[0]
 
 
 ROOT = 0.5 + 1 / 3 * 2 ** -6  # inside a bracket of two presample intervals, off its grid

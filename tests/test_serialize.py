@@ -14,8 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fastchain._serialize import Report, _escape, dumps
+from fastchain.eigentime import hitting_report
 from fastchain.generator import ProbabilityVector, cycle_generator
-from fastchain.graph import Cycle
+from fastchain.graph import Cycle, complete_graph
+from fastchain.optimizer import frank_wolfe_minimize
 from fastchain.rng import RandomStream
 
 from conftest import dumps_oracle
@@ -136,7 +138,9 @@ def test_report_renders_as_its_hand_written_dict():
     """A Report's fields, arrays and objects passed as they are, render the
     bytes of the dict that converted each of them entry by entry: a nested
     Generator, a ProbabilityVector, a Cycle, a tuple of floats, None and a
-    bool array, alone and nested in a document."""
+    bool array, alone and nested in a document.  The optimize and hitting
+    reports render the dicts their hand-written ``to_json`` used to return:
+    the optimize certificate nested, and the hitting report's ``h_matrix``."""
     pi = ProbabilityVector([0.2, 0.3, 0.5])
     rep = _Sample(generator=cycle_generator(pi, Cycle([0, 2, 1])), pi=pi, cycle=Cycle([2, 0, 1]),
                   values=(1 / 3, np.float64(2.0), 1e16, -0.0), second=None,
@@ -150,8 +154,31 @@ def test_report_renders_as_its_hand_written_dict():
         "below": [True, False, True],
     }
     assert list(rep.to_json()) == ["generator", "pi", "cycle", "values", "second", "below"]
-    assert dumps(rep) == dumps(hand)
-    assert dumps({"report": rep, "list": [rep, 1.5]}) == dumps({"report": hand, "list": [hand, 1.5]})
+    opt = frank_wolfe_minimize(complete_graph(3), pi, extra_starts=1)
+    opt_hand = {
+        "cycles": opt.cycles,
+        "weights": opt.weights,
+        "minimizer": opt.minimizer,
+        "f_min": opt.f_min,
+        "certificate": {
+            "h_values": opt.certificate.h_values,
+            "gap": opt.certificate.gap,
+        },
+        "iterations": opt.iterations,
+        "converged": opt.converged,
+    }
+    hit = hitting_report(rep.generator, pi)
+    hit_hand = {
+        "expectations": hit.expectations,
+        "second_moments": hit.second_moments,
+        "kemeny": hit.kemeny,
+        "f_value": hit.f_value,
+        "h_matrix": hit.h_matrix,
+    }
+    for report, doc in [(rep, hand), (opt, opt_hand), (hit, hit_hand)]:
+        assert list(report.to_json()) == list(doc)
+        assert dumps(report) == dumps(doc)
+        assert dumps({"report": report, "list": [report, 1.5]}) == dumps({"report": doc, "list": [doc, 1.5]})
 
 
 @pytest.mark.parametrize("obj", [object(), {1, 2}])
