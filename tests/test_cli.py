@@ -166,6 +166,10 @@ UNIFORM3 = [1 / 3, 1 / 3, 1 / 3]
 # a random Hamiltonian digraph on 8 vertices with cycles of every length
 # 2-8; the generator mixes all 25 of its simple cycles
 HAM8 = json.loads((GOLDEN / "eval_ham8_input.json").read_text())
+# a 32-state mixture of six random cycles, the first Hamiltonian: its E,
+# second-moment and h matrices have 1024 entries each, at least CUT, so the
+# renderer writes them from exactly rounded 17-digit integers
+CYC32 = json.loads((GOLDEN / "eval_cyc32_input.json").read_text())
 
 
 REPORT_CASES = [
@@ -181,6 +185,7 @@ REPORT_CASES = [
      "probe_theorem2_k3_trials5_seed2.json"),
     (["eval", "--derivatives", "--second"],
      {"--generator": HAM8["generator"], "--pi": HAM8["pi"]}, "eval_ham8_derivatives_second.json"),
+    (["eval"], {"--generator": CYC32["generator"], "--pi": CYC32["pi"]}, "eval_cyc32.json"),
 ]
 
 
@@ -195,13 +200,14 @@ def write_inputs(tmp_path, args, inputs):
 @pytest.mark.parametrize("args, inputs, golden", REPORT_CASES)
 def test_report_output_is_pinned(tmp_path, capsys, args, inputs, golden):
     """The reports of ``s2``, ``counterexample``, ``discrete --kernel``,
-    ``discrete --compare``, ``probe-theorem2`` and ``eval --derivatives
-    --second`` over all cycles of an 8-state mixture are pinned byte for
-    byte: the generator, kernel weights, measure, graph, cycles and
-    derivatives they carry, and their checks.  Like the optimize goldens, the bytes hold the last bits
-    of LAPACK results and belong to one numpy/OpenBLAS build: after a change
-    of that build, recapture them with this command and check that only last
-    bits moved."""
+    ``discrete --compare``, ``probe-theorem2``, ``eval --derivatives
+    --second`` over all cycles of an 8-state mixture and ``eval`` of a
+    32-state mixture are pinned byte for byte: the generator, kernel
+    weights, measure, graph, cycles, derivatives and hitting matrices they
+    carry, and their checks.  Like the optimize goldens, the bytes hold the
+    last bits of LAPACK results and belong to one numpy/OpenBLAS build:
+    after a change of that build, recapture them with this command and
+    check that only last bits moved."""
     code, out, _ = run_cli(write_inputs(tmp_path, args, inputs), capsys)
     assert code == 0
     assert out == (GOLDEN / golden).read_text()

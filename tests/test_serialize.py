@@ -1,19 +1,23 @@
-"""The float-array path of ``dumps`` against its oracle: the same array as
-nested lists, which renders entry by entry through ``_fmt_float``; the
-object route, a :class:`Report` against the dict that copied its fields by
-hand; and the exact-type dispatch against the isinstance chain it
-shortcuts (``dumps_oracle``) on random nested documents."""
+"""The float-array routes of ``dumps`` against their oracle: the same array
+as nested lists, which renders entry by entry through ``_fmt_float``, below
+``CUT`` entries (one ``%`` format per row) and at or above it (digits of
+exactly rounded 17-digit integers, or the row route where most entries are
+below 1 or at or above 1e16); the object route, a :class:`Report` against
+the dict that copied its fields by hand; and the exact-type dispatch
+against the isinstance chain it shortcuts (``dumps_oracle``) on random
+nested documents."""
 
 import json
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastchain._serialize import Report, _escape, dumps
+from fastchain._serialize import CUT, Report, _escape, _fmt_float, dumps
 from fastchain.eigentime import hitting_report
 from fastchain.generator import ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, complete_graph
@@ -46,7 +50,48 @@ def _cases():
             noise[:1], noise[:1].reshape(1, 1), np.array([[0.0], [-0.0]]), np.zeros((2, 3))]
 
 
-CASES = _cases()
+def _ties():
+    """t / 2**(17 - k) with t odd and k + 1 integer digits, k = 0..15: 18
+    significant digits, the last a 5, so the 17-digit text is a tie."""
+    stream = RandomStream(14)
+    k = np.arange(16)
+    t = 2.0 ** (17 - k) * 10.0 ** k + 1 + 2 * stream.integers(16, 1000)
+    return t / 2.0 ** (17 - k)
+
+
+def _large_cases():
+    """Arrays at and above CUT, shuffled so that the doubles beside each
+    power of ten up to 1e16, exact ties, 2**52 - 0.5, whole entries, -0.0,
+    and entries below 1 and at or above 1e16 share rows with the entries
+    of the fixed-point set, in both signs; and one array where most entries
+    are below 1."""
+    stream = RandomStream(15)
+    powers = 10.0 ** np.arange(17)
+    edges = np.concatenate([np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf), _ties(),
+                            [2.0 ** 52 - 0.5, 2.0 ** 52 - 1.5, 131073 / 131072], SPECIAL])
+    size = 3 * CUT
+    fixed = (stream.uniform(size) + 0.01) * 10.0 ** stream.integers(size, 16)
+    small = _random_17_digit(stream, size) * 1e-10
+    a = np.where(stream.uniform(size) < 0.2, small, fixed)
+    a[:len(edges)] = edges
+    a[len(edges):len(edges) + 40] = np.trunc(a[len(edges):len(edges) + 40])
+    a[stream.uniform(size) < 0.5] *= -1.0
+    a = a[stream.integers(size, size).argsort(kind="stable")]
+    mostly_small = np.where(stream.uniform(CUT) < 0.6, small[:CUT], fixed[:CUT])
+    return [a[:CUT], a[:CUT].reshape(16, -1), a, a.reshape(48, -1), a[:CUT].reshape(-1, 1), mostly_small]
+
+
+CASES = _cases() + _large_cases()
+
+
+def test_ties_round_half_to_even():
+    """A tie at the 17th digit rounds to even, as printf does:
+    131073/131072 = 1.00000762939453125 is written 1.0000076293945312."""
+    assert _fmt_float(131073 / 131072) == "1.0000076293945312"
+    assert dumps(np.full(CUT, 131073 / 131072)) == dumps([131073 / 131072] * CUT)
+    for x in _ties():
+        digits = Decimal(float(x)).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
 
 
 def _nest(obj, depth):
@@ -64,9 +109,9 @@ def test_float_array_renders_as_its_list(a):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("shape", [(4,), (2, 2)])
+@pytest.mark.parametrize("shape", [(4,), (2, 2), (CUT,), (2, CUT // 2)])
 def test_float_array_rejects_non_finite(bad, shape):
-    a = np.arange(4.0)
+    a = np.arange(1.5, 1.5 + math.prod(shape))
     a[2] = bad
     a = a.reshape(shape)
     with pytest.raises(ValueError, match="finite numbers only") as from_array:
@@ -74,6 +119,25 @@ def test_float_array_rejects_non_finite(bad, shape):
     with pytest.raises(ValueError, match="finite numbers only") as from_list:
         dumps(a.tolist())
     assert str(from_array.value) == str(from_list.value)
+
+
+def _random_floats(stream, size, share):
+    """Finite doubles from random bit patterns, and with ``share`` odds
+    hitting-time-like magnitudes 1 to 1e6 of either sign instead."""
+    bits = stream.uint64(size).view(np.float64)
+    bits[~np.isfinite(bits)] = 0.25
+    hitting = 10.0 ** (6.0 * stream.uniform(size)) * np.where(stream.uniform(size) < 0.2, -1.0, 1.0)
+    return np.where(stream.uniform(size) < share, hitting, bits)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([(CUT - 1,), (CUT,), (3000,), (1, CUT - 1), (CUT // 16, 16), (50, 60)]),
+       st.integers(0, 2 ** 63 - 1), st.floats(0.0, 1.0))
+def test_random_float_arrays_render_as_their_list(shape, seed, share):
+    """Arrays just below, at and above CUT, of random bit patterns mixed
+    with hitting-time-like values, render the bytes of their nested list."""
+    a = _random_floats(RandomStream(seed), math.prod(shape), share).reshape(shape)
+    assert dumps(a) == dumps(a.tolist())
 
 
 @pytest.mark.parametrize("a", [np.arange(6).reshape(2, 3), np.array([True, False]), np.zeros(0),
