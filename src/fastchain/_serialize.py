@@ -9,26 +9,25 @@ document its ``to_json()`` returns; a :class:`Report` dataclass returns its
 fields.
 
 A float64 array of one or two dimensions is written in the bytes its
-nested list would give entry by entry, by one of two routes.  Below ``CUT``
-entries it is written a row at a time, one ``%`` format per row.  From
-``CUT`` entries on, numpy writes a whole entry below 1e16 from its integer
-digits, and one with 1 <= |x| < 1e16 that is not whole, where ``%.17g``
+nested list would give entry by entry.  Below ``CUT`` entries it is written
+a row at a time, one ``%`` format per row.  From ``CUT`` entries on, numpy
+writes each entry with 1 <= |x| < 1e16 that is not whole, where ``%.17g``
 writes fixed-point digits, from the exactly rounded 17-digit integer
 N = round(|x| 10^(16-k)), k = floor(log10|x|): the scale is an exact
 double and Dekker's two-product gives the rounding error of the float
 product exactly (see :func:`_digits`).  The digits are laid out as bytes,
 one column per entry, with the point after digit k; trailing zeros are cut
-off and all texts are decoded at once.  Every other entry is written by
-``_fmt_float`` itself, and an array where those are the majority takes
-the row route.
+off and all texts are decoded at once.  Every other entry, whole, below 1
+or at least 1e16, is written by one ``%`` over the formats the row route
+uses.
 
 ``CUT`` comes from timing both routes on n x n matrices of hitting-time-like
 entries, 1 to 3000 with a zero diagonal: median CPU time of 100 runs, row
-route / numpy, on a 2-core Xeon with Python 3.11 and numpy 2.4.  n = 12:
-0.10-0.17 / 0.16-0.26 ms; n = 16: 0.17-0.28 / 0.18-0.30 ms; n = 20: 0.26-0.28
-/ 0.24-0.28 ms; n = 23: 0.34 / 0.27-0.28 ms; n = 32: 0.63-0.68 / 0.39-0.44
-ms; n = 128: 11.3-11.8 / 6.9-7.4 ms.  The routes cross near 400 entries,
-and from 512 on numpy is ahead by a quarter or more.
+route / numpy, on a 2-core Xeon with Python 3.11 and numpy 2.4, two
+sessions.  n = 12: 0.10-0.11 / 0.15-0.20 ms; n = 16: 0.17-0.18 / 0.20 ms;
+n = 20: 0.26-0.28 / 0.25 ms; n = 23: 0.33-0.36 / 0.27-0.30 ms; n = 32:
+0.62-1.04 / 0.42-0.80 ms; n = 128: 11.8-14.3 / 7.8-9.0 ms.  The routes
+cross near 400 entries, and from 512 on numpy is ahead by a sixth or more.
 """
 
 from __future__ import annotations
@@ -93,12 +92,9 @@ _POW10 = 10 ** np.arange(17, dtype=np.int64)
 _TENS = _POW10.astype(np.float64)  # exact doubles
 _SCALE = _TENS[16:0:-1]  # 10^(16-k) for k = 0..15
 _SCALE_HI, _SCALE_LO = _split(_SCALE)
-# the four ASCII digits of 0..9999, one row per digit, and how many of the
-# four are trailing zeros (all four for 0)
-_CHUNKS = np.arange(10000, dtype=np.int16)
+# the four ASCII digits of 0..9999, one row per digit
 _PLACES = np.array([[1000], [100], [10], [1]], dtype=np.int16)
-_DIGITS4 = (_CHUNKS // _PLACES % np.int16(10)).astype(np.uint8) + np.uint8(ord("0"))
-_ZEROS4 = sum(_CHUNKS % np.int16(10 ** j) == 0 for j in range(1, 5)).astype(np.int8)
+_DIGITS4 = (np.arange(10000, dtype=np.int16) // _PLACES % np.int16(10)).astype(np.uint8) + np.uint8(ord("0"))
 # An entry's text runs down one column of a byte frame: the sign and the
 # integer digits end on the row above _POINT, the point sits on _POINT and
 # the 16 fraction digits follow it.  A comma ends each text.
@@ -114,89 +110,88 @@ def _chunks4(v: np.ndarray) -> list:
     return [c0, c1, c2, c3]
 
 
-def _digits(ax: np.ndarray, fixed: np.ndarray, ints: np.ndarray) -> tuple:
-    """``(k, whole, frac)`` of the absolute values ``ax`` of the fast
-    entries of :func:`_texts`: the integer part, ``k + 1`` its number of
-    digits (one for 0), and the fraction digits followed by zeros up to 16
-    digits.  An entry of ``ints`` is whole and below 1e16, and ``%.1f``
-    writes its digits and ".0".  A ``fixed`` entry has 1 <= |x| < 1e16 and
-    is not whole, and ``%.17g`` writes the k + 1 integer and 16 - k
-    fraction digits of N = round(|x| 10^(16-k)), k = floor(log10|x|),
-    trailing zeros dropped.
+def _formats(a: np.ndarray) -> list:
+    """The ``%`` format ``_fmt_float`` picks for each entry of ``a``, as
+    nested as ``a.tolist()``: "%.1f" for a whole number below WHOLE_BELOW,
+    "%.17g" for any other."""
+    return np.where((a == np.trunc(a)) & (np.abs(a) < WHOLE_BELOW), "%.1f", "%.17g").tolist()
 
-    Every step is exact.  k counts the powers of ten at or below |x|.  The
+
+def _digits(ax: np.ndarray) -> tuple:
+    """``(k, whole, frac)`` of doubles ``ax`` with 1 <= ax < 1e16, none
+    whole, where ``%.17g`` writes the k + 1 integer digits ``whole`` and the
+    16 - k fraction digits of N = round(ax 10^(16-k)), k = floor(log10 ax),
+    trailing zeros dropped; ``frac`` holds those fraction digits followed by
+    zeros up to 16 digits.
+
+    Every step is exact.  k counts the powers of ten at or below ax.  The
     scale 10^(16-k) is an exact double, and Dekker's two-product gives the
-    error e of p = fl(|x| 10^(16-k)) exactly, so N = p + round(e).  N stays
+    error e of p = fl(ax 10^(16-k)) exactly, so N = p + round(e).  N stays
     below 10^17: the largest double below 10^(k+1) lies 2^-53 of it or more
     away, too far to round up.  N >= 10^16 > 2^53 makes p even, so
     rounding e half to even rounds a tie to the even N, as printf does.
-    The fraction of a fixed entry never ends up empty, since its last digit
-    weighs less than the spacing of doubles there."""
-    k = np.maximum(np.searchsorted(_TENS, ax, side="right") - 1, 0).astype(np.int8)
-    v = np.where(fixed, ax, 1.5)  # a stand-in for the other entries
-    kv = np.where(fixed, k, np.int8(0))
-    p = v * _SCALE[kv]
-    v_hi, v_lo = _split(v)
-    s_hi, s_lo = _SCALE_HI[kv], _SCALE_LO[kv]
+    The fraction never ends up all zeros, since its last digit weighs less
+    than the spacing of doubles there."""
+    k = (np.searchsorted(_TENS, ax, side="right") - 1).astype(np.int8)
+    p = ax * _SCALE[k]
+    v_hi, v_lo = _split(ax)
+    s_hi, s_lo = _SCALE_HI[k], _SCALE_LO[k]
     e = ((v_hi * s_hi - p) + v_hi * s_lo + v_lo * s_hi) + v_lo * s_lo
-    whole, frac = np.divmod(p.astype(np.int64) + np.rint(e).astype(np.int64), _POW10[16 - kv])
-    frac *= _POW10[kv]
-    whole[ints] = ax[ints].astype(np.int64)
-    frac[ints] = 0
-    return k, whole, frac
+    whole, frac = np.divmod(p.astype(np.int64) + np.rint(e).astype(np.int64), _POW10[16 - k])
+    return k, whole, frac * _POW10[k]
 
 
-def _texts(x: np.ndarray) -> list | None:
-    """The ``_fmt_float`` texts of a flat array of finite doubles, or None
-    if fewer than half its entries are fast: whole below 1e16, or not whole
-    with 1 <= |x| < 1e16 (see :func:`_digits`).  The fast entries are
-    written from their digits, the others by ``_fmt_float`` itself."""
-    ax = np.abs(x)
-    integral = x == np.trunc(x)
-    ints = integral & (ax < 1e16)
-    fixed = (ax >= 1.0) & (ax < 1e16) & ~integral
-    fast = ints | fixed
-    if 2 * np.count_nonzero(fast) < len(x):
-        return None
-    k, whole, frac = _digits(ax, fixed, ints)
+def _fixed_texts(x: np.ndarray) -> list:
+    """The ``%.17g`` texts of a non-empty flat array of doubles with
+    1 <= |x| < 1e16, none whole, written from their digits (see
+    :func:`_digits`)."""
+    k, whole, frac = _digits(np.abs(x))
     m = len(x)
     frame = np.empty((len(_ROWS), m), dtype=np.uint8)
     for j, c in enumerate(_chunks4(whole)):
         np.take(_DIGITS4, c, axis=1, out=frame[_POINT - 16 + 4 * j:_POINT - 12 + 4 * j])
     frame[_POINT] = ord(".")
-    chunks = _chunks4(frac)
-    zeros = _ZEROS4[chunks[0]]
-    for j, c in enumerate(chunks):
+    for j, c in enumerate(_chunks4(frac)):
         np.take(_DIGITS4, c, axis=1, out=frame[_POINT + 1 + 4 * j:_POINT + 5 + 4 * j])
-        if j:  # a zero chunk adds four trailing zeros, any other restarts the count
-            zeros = np.where(c == 0, zeros + np.int8(4), _ZEROS4[c])
-    end = _POINT + 17 - np.minimum(zeros, np.int8(15))  # a whole entry keeps one zero
+    # the comma follows the last non-zero fraction digit
+    end = ((frame[_POINT + 1:_POINT + 17] != ord("0")) * _ROWS[_POINT + 1:_POINT + 17]).max(0) + 1
     frame[end, np.arange(m)] = ord(",")
-    neg = fast & np.signbit(x)
+    neg = np.signbit(x)
     first = _POINT - 1 - k - neg
     frame[first[neg], np.flatnonzero(neg)] = ord("-")
-    first = np.where(fast, first, end)  # the other entries keep only their comma
     top = int(first.min())
     keep = (_ROWS[top:] >= first) & (_ROWS[top:] <= end)
     texts = frame[top:].T[keep.T].tobytes().decode("ascii").split(",")
     texts.pop()
-    slow = np.flatnonzero(~fast)
-    for i, v in zip(slow.tolist(), x[slow].tolist()):
-        texts[i] = _fmt_float(v)
     return texts
+
+
+def _texts(x: np.ndarray) -> list:
+    """The ``_fmt_float`` texts of a flat array of finite doubles: those of
+    the entries with 1 <= |x| < 1e16 that are not whole from
+    :func:`_fixed_texts`, all others from one ``%`` over their
+    ``_formats``."""
+    ax = np.abs(x)
+    fixed = (ax >= 1.0) & (ax < 1e16) & (x != np.trunc(x))
+    if fixed.all():
+        return _fixed_texts(x)
+    texts = np.empty(len(x), dtype=object)
+    if fixed.any():
+        texts[fixed] = _fixed_texts(x[fixed])
+    v = x[~fixed]
+    texts[~fixed] = (",".join(_formats(v)) % tuple(v.tolist())).split(",")
+    return texts.tolist()
 
 
 def _render_floats(a: np.ndarray, indent: int, pieces: list):
     """A non-empty 1-D or 2-D float64 array in the bytes of its nested list.
     The finiteness check runs once over the whole array.  An array of at
-    least ``CUT`` entries takes its texts from :func:`_texts` if most of
-    them are fast there.  Any other is written one ``%`` format per row,
-    each entry in the format that ``_fmt_float``'s whole-number rule picks
-    for it."""
+    least ``CUT`` entries takes its texts from :func:`_texts`; any other is
+    written one ``%`` format per row, its entries in their ``_formats``."""
     if not np.isfinite(a).all():
         raise ValueError("reports must contain finite numbers only")
-    texts = _texts(a.ravel()) if a.size >= CUT else None
-    if texts is not None:
+    if a.size >= CUT:
+        texts = _texts(a.ravel())
         if a.ndim == 1:
             pieces.append(_block(texts, indent))
         else:
@@ -204,7 +199,7 @@ def _render_floats(a: np.ndarray, indent: int, pieces: list):
             rows = [_block(texts[i:i + width], indent + 1) for i in range(0, len(texts), width)]
             pieces.append(_block(rows, indent))
         return
-    fmts = np.where((a == np.trunc(a)) & (np.abs(a) < WHOLE_BELOW), "%.1f", "%.17g").tolist()
+    fmts = _formats(a)
     if a.ndim == 1:
         pieces.append(_block(fmts, indent) % tuple(a.tolist()))
     else:

@@ -1,8 +1,8 @@
 """The float-array routes of ``dumps`` against their oracle: the same array
 as nested lists, which renders entry by entry through ``_fmt_float``, below
 ``CUT`` entries (one ``%`` format per row) and at or above it (digits of
-exactly rounded 17-digit integers, or the row route where most entries are
-below 1 or at or above 1e16); the object route, a :class:`Report` against
+exactly rounded 17-digit integers, and one ``%`` for the other entries);
+the object route, a :class:`Report` against
 the dict that copied its fields by hand; and the exact-type dispatch
 against the isinstance chain it shortcuts (``dumps_oracle``) on random
 nested documents."""
@@ -10,14 +10,13 @@ nested documents."""
 import json
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fastchain._serialize import CUT, Report, _escape, _fmt_float, dumps
+from fastchain._serialize import CUT, Report, _escape, dumps
 from fastchain.eigentime import hitting_report
 from fastchain.generator import ProbabilityVector, cycle_generator
 from fastchain.graph import Cycle, complete_graph
@@ -63,8 +62,9 @@ def _large_cases():
     """Arrays at and above CUT, shuffled so that the doubles beside each
     power of ten up to 1e16, exact ties, 2**52 - 0.5, whole entries, -0.0,
     and entries below 1 and at or above 1e16 share rows with the entries
-    of the fixed-point set, in both signs; and one array where most entries
-    are below 1."""
+    of the fixed-point set, in both signs; one array where most entries are
+    below 1; and one of a single tie, 131073/131072 = 1.00000762939453125,
+    written 1.0000076293945312 (half to even, as printf rounds)."""
     stream = RandomStream(15)
     powers = 10.0 ** np.arange(17)
     edges = np.concatenate([np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf), _ties(),
@@ -78,20 +78,11 @@ def _large_cases():
     a[stream.uniform(size) < 0.5] *= -1.0
     a = a[stream.integers(size, size).argsort(kind="stable")]
     mostly_small = np.where(stream.uniform(CUT) < 0.6, small[:CUT], fixed[:CUT])
-    return [a[:CUT], a[:CUT].reshape(16, -1), a, a.reshape(48, -1), a[:CUT].reshape(-1, 1), mostly_small]
+    return [a[:CUT], a[:CUT].reshape(16, -1), a, a.reshape(48, -1), a[:CUT].reshape(-1, 1), mostly_small,
+            np.full(CUT, 131073 / 131072)]
 
 
 CASES = _cases() + _large_cases()
-
-
-def test_ties_round_half_to_even():
-    """A tie at the 17th digit rounds to even, as printf does:
-    131073/131072 = 1.00000762939453125 is written 1.0000076293945312."""
-    assert _fmt_float(131073 / 131072) == "1.0000076293945312"
-    assert dumps(np.full(CUT, 131073 / 131072)) == dumps([131073 / 131072] * CUT)
-    for x in _ties():
-        digits = Decimal(float(x)).as_tuple().digits
-        assert len(digits) == 18 and digits[-1] == 5
 
 
 def _nest(obj, depth):
