@@ -86,6 +86,8 @@ def _load(path: str | None, parse, kind: str):
 
 
 def _cmd_eval(args) -> tuple:
+    if args.second and not args.derivatives:
+        raise InputError("--second needs --derivatives")
     L = _load(args.generator, Generator.from_json, "generator")
     pi = _load(args.pi, ProbabilityVector, "probability") if args.pi else invariant_measure(L)
     kern = hitting_kernel(L, pi)
@@ -128,6 +130,8 @@ def _cmd_optimize(args) -> tuple:
 
 
 def _cmd_dp(args) -> tuple:
+    if args.mode == "discrete" and args.budgets is not None:
+        raise InputError("--budgets needs --mode continuous")
     g = _load(args.graph, DirectedGraph.from_json, "graph")
     if not 0 <= args.start < g.n:
         raise InputError(f"start {args.start} out of range")
@@ -157,6 +161,8 @@ def _cmd_dp(args) -> tuple:
 
 def _cmd_discrete(args) -> tuple:
     if args.compare:
+        if args.kernel is not None:
+            raise InputError("--compare reads --graph, not --kernel")
         g = _load(args.graph, DirectedGraph.from_json, "graph")
         pi = _load(args.pi, ProbabilityVector, "probability")
         comp = compare_wedges(g, pi, seed=args.seed)

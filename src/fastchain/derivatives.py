@@ -88,9 +88,10 @@ def psi_solve(kern: HittingKernel, cycle: Cycle, y: int) -> np.ndarray:
     than the rounding allowance of a quantity of order M(L)^2 (see
     :func:`_rounding_tol`).  The fundamental-matrix value is returned.
     """
-    g = kern.Z @ (_CycleArcs([cycle]).rates(kern.pi.weights)[0] @ kern.E[:, y])
+    arcs = _CycleArcs([cycle])
+    g = kern.Z @ (arcs.rates(kern.pi.weights)[0] @ kern.E[:, y])
     psi = g[y] - g
-    err = float(np.abs(psi - _psi_closed_form(kern.E, cycle, y)).max())
+    err = float(np.abs(psi - _psi_closed_form(kern.E, arcs, y)).max())
     if err > _rounding_tol(kern, 2):
         raise IdentityViolation(f"psi closed-form disagreement {err!r}")
     return psi
@@ -110,12 +111,9 @@ def _rounding_tol(kern: HittingKernel, power: int) -> float:
     return 1e3 * kern.E.shape[0] * np.finfo(float).eps * kern.m_bound ** power
 
 
-def _psi_closed_form(E: np.ndarray, cycle: Cycle, y: int) -> np.ndarray:
-    n_c = len(cycle)
-    out = np.zeros(E.shape[0])
-    for a, b in cycle.arcs():
-        out += (E[b, y] - E[a, y]) * (E[:, a] - E[y, a])
-    return out / n_c
+def _psi_closed_form(E: np.ndarray, arcs: _CycleArcs, y: int) -> np.ndarray:
+    ((_, (a,), (a1,)),) = arcs.groups
+    return (E[:, a] - E[y, a]) @ (E[a1, y] - E[a, y]) / len(a)
 
 
 def directional_derivative(kern: HittingKernel, direction) -> float:
@@ -138,17 +136,29 @@ def h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
 
     Equals sum_y pi(y) pi[Psi_y] where Psi_y solves L Psi = L_B psi_y and
     psi_y is the first-order profile for direction A.  Assembled from the
-    hitting-time and perturbation matrices:
+    hitting-time and perturbation matrices, as the one-pair case of
+    :func:`_arc_sums`:
 
         (1/(n_A n_B)) sum_{l,k} (h(b_k, a_{l+1}) - h(b_k, a_l))
                                 (phi_{a_l}(b_{k+1}) - phi_{a_l}(b_k)).
     """
-    a = np.asarray(cycle_a.vertices)
-    b = np.asarray(cycle_b.vertices)[:, None]
-    a1, b1 = np.concatenate((a[1:], a[:1])), np.concatenate((b[1:], b[:1]))
-    H, E = kern.h, kern.E
-    total = np.sum((H[b, a1] - H[b, a]) * (E[b1, a] - E[b, a]))
-    return float(total) / (len(cycle_a) * len(cycle_b))
+    ((_, a, a1),) = _CycleArcs([cycle_a]).groups
+    ((_, b, b1),) = _CycleArcs([cycle_b]).groups
+    return float(_arc_sums(kern, a, a1, b, b1)[0])
+
+
+def _arc_sums(kern: HittingKernel, a, a1, b, b1) -> np.ndarray:
+    """The arc sums of :func:`h_cross` for k pairs of cycles, from the
+    (k, l_A) tails a and heads a1 of the A's and the (k, l_B) tails b and
+    heads b1 of the B's, as ``_CycleArcs.groups`` holds them."""
+    n = kern.E.shape[0]
+    H, E = kern.h.ravel(), kern.E.ravel()
+    # flat indices b n + a of the (k, l_B, l_A) entries [b_k, a_l]
+    b, b1 = b[:, :, None] * n, b1[:, :, None] * n
+    a, a1 = a[:, None, :], a1[:, None, :]
+    ba = b + a
+    terms = (H[b + a1] - H[ba]) * (E[b1 + a] - E[ba])
+    return terms.sum(axis=(1, 2)) / (a.shape[2] * b.shape[1])
 
 
 def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray,
@@ -169,23 +179,12 @@ def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray,
 
 def _self_cross(kern: HittingKernel, arcs: _CycleArcs) -> np.ndarray:
     """H_{A,A} of every cycle of ``arcs`` by the arc-sum assembly of
-    :func:`h_cross`, one gather per cycle length.
-
-    For the (k, l) tails a and heads a1 of a length group, the (k, l, l)
-    terms (h(a_k, a1_l) - h(a_k, a_l)) (phi_{a_l}(a1_k) - phi_{a_l}(a_k)) are
-    summed over each cycle's two arc axes and divided by l^2.  Only the
+    :func:`h_cross`, one :func:`_arc_sums` per cycle length.  Only the
     summation order can differ from ``h_cross(kern, A, A)``.
     """
-    n = kern.E.shape[0]
-    H, E = kern.h.ravel(), kern.E.ravel()
     out = np.empty(arcs.m)
     for pos, tails, heads in arcs.groups:
-        # flat indices b n + a of the (k, l, l) entries [b_k, a_l]
-        b, b1 = tails[:, :, None] * n, heads[:, :, None] * n
-        a, a1 = tails[:, None, :], heads[:, None, :]
-        ba = b + a
-        terms = (H[b + a1] - H[ba]) * (E[b1 + a] - E[ba])
-        out[pos] = terms.sum(axis=(1, 2)) / tails.shape[1] ** 2
+        out[pos] = _arc_sums(kern, tails, heads, tails, heads)
     return out
 
 
@@ -220,9 +219,8 @@ def second_directional(kern: HittingKernel, cycle_a: Cycle,
     """
     if cycle_b is None or cycle_b == cycle_a:
         return derivative_reports(kern, [cycle_a], with_second=True)[0].second
-    rates_a, rates_b = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
-    cross_ba = float(_mean_psi_cross(kern, rates_a, rates_b))
-    cross_ab = float(_mean_psi_cross(kern, rates_b, rates_a))
+    rates = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
+    cross_ba, cross_ab = _mean_psi_cross(kern, rates, rates[::-1]).tolist()
     _check_chained(h_cross(kern, cycle_a, cycle_b), cross_ba, _rounding_tol(kern, 3))
     h_a, h_b = kern.h_cycle(cycle_a), kern.h_cycle(cycle_b)
     return 2.0 * kern.f - 2.0 * h_a - 2.0 * h_b + cross_ab + cross_ba

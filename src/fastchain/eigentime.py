@@ -28,7 +28,13 @@ from functools import cached_property
 import numpy as np
 
 from ._serialize import Report
-from .generator import Generator, ProbabilityVector, _require_invariant, _require_irreducible
+from .generator import (
+    Generator,
+    ProbabilityVector,
+    _CycleArcs,
+    _require_invariant,
+    _require_irreducible,
+)
 from .graph import Cycle
 from .rng import RandomStream
 
@@ -142,8 +148,7 @@ class HittingKernel:
 
     def h_cycle(self, cycle: Cycle) -> float:
         """H_A: the average of h over the arcs of the cycle."""
-        v = cycle.vertices
-        return float(self.h[v, v[1:] + v[:1]].mean())
+        return float(_CycleArcs([cycle]).means(self.h)[0])
 
     def report(self) -> HittingReport:
         return HittingReport(

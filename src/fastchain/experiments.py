@@ -188,7 +188,7 @@ def unit_rate_generator(g: DirectedGraph) -> Generator:
     return Generator(rates)
 
 
-def find_counterexample(g: DirectedGraph, r_grid=None, eps_grid=None) -> CounterexampleReport:
+def find_counterexample(g: DirectedGraph) -> CounterexampleReport:
     """Search the (r, eps) grid for a generator beating every Hamiltonian one.
 
     For each candidate, L = (L_r + eps L_g) / Z with Z fixing the unit
@@ -198,7 +198,8 @@ def find_counterexample(g: DirectedGraph, r_grid=None, eps_grid=None) -> Counter
     search compares against their common closed form; at the certified point
     each F(L_H) is computed from its own generator, and the report's values
     and margin are those: their spread is a measured agreement, not 0 by
-    construction.
+    construction.  The grid is r = 10 .. 1e8 (outer loop) by eps = 0.1 ..
+    1e-8, both by decades.
 
     Raises
     ------
@@ -215,11 +216,9 @@ def find_counterexample(g: DirectedGraph, r_grid=None, eps_grid=None) -> Counter
     trees = _default_trees(g, short_cycle)
     L_g = unit_rate_generator(g)
 
-    r_grid = [10.0 ** k for k in range(1, 9)] if r_grid is None else list(r_grid)
-    eps_grid = [10.0 ** -k for k in range(1, 9)] if eps_grid is None else list(eps_grid)
-    for r in r_grid:
+    for r in (10.0 ** k for k in range(1, 9)):
         L_r = build_cycle_tree_generator(g, short_cycle, trees, r)
-        for eps in eps_grid:
+        for eps in (10.0 ** -k for k in range(1, 9)):
             mixed = Generator(L_r.rates + eps * L_g.rates)
             pi = invariant_measure(mixed)
             z = float(pi.weights @ mixed.exit_rates())
@@ -320,8 +319,11 @@ def theorem2_probe(g: DirectedGraph, perturbation_size: float, trials: int,
     the minimizer matches some admissible Hamiltonian-cycle generator
     entrywise within 1e-8.
     """
-    if perturbation_size > 0.05:
-        raise ValueError("probe is meant for small perturbations (<= 0.05)")
+    if not 0 <= perturbation_size <= 0.05:
+        raise ValueError("probe is meant for small perturbations (0 to 0.05), "
+                         f"got {perturbation_size!r}")
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
     hams = enumerate_hamiltonian_cycles(g)
     if not hams:
         raise ValueError("graph must be Hamiltonian")

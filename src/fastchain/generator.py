@@ -205,10 +205,9 @@ def cycle_generator(pi: ProbabilityVector, cycle: Cycle) -> Generator:
 
 def support_graph(L: Generator) -> DirectedGraph:
     """Graph of strictly positive off-diagonal rates."""
-    n = L.n
-    edges = [(i, j) for i in range(n) for j in range(n)
-             if i != j and L.rates[i, j] > 0]
-    return DirectedGraph(n, edges)
+    positive = L.rates > 0
+    np.fill_diagonal(positive, False)
+    return DirectedGraph(L.n, zip(*np.nonzero(positive)))
 
 
 def _require_irreducible(L: Generator):
@@ -217,6 +216,8 @@ def _require_irreducible(L: Generator):
 
 
 def _require_invariant(L: Generator, pi: ProbabilityVector):
+    if pi.n != len(L.rates):
+        raise ValueError(f"pi has {pi.n} entries for {len(L.rates)} states")
     resid = float(np.abs(pi.weights @ L.rates).max())
     if not resid <= CHECK_TOL:  # a NaN residual fails too
         raise NotInvariant(f"pi L residual {resid!r} exceeds {CHECK_TOL}")
@@ -262,10 +263,7 @@ def is_compatible(L: Generator, g: DirectedGraph) -> bool:
     """True iff every strictly positive off-diagonal rate sits on an arc of g."""
     if L.n != g.n:
         raise ValueError("dimension mismatch")
-    n = L.n
-    return all((i, j) in g.edges
-               for i in range(n) for j in range(n)
-               if i != j and L.rates[i, j] > 0)
+    return support_graph(L).edges <= g.edges
 
 
 def _check_member(L: Generator, pi: ProbabilityVector):

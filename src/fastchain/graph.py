@@ -32,6 +32,14 @@ class CycleBudgetExceeded(RuntimeError):
     """More simple cycles exist than the caller's budget allows."""
 
 
+def _as_int(v) -> int:
+    """A vertex id or count as an int: Python and numpy integers only, since
+    int() would silently truncate a float and read a bool as 0 or 1."""
+    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+        return int(v)
+    raise ValueError(f"vertex ids and n must be integers, got {v!r}")
+
+
 @dataclass(frozen=True)
 class DirectedGraph:
     """Directed graph on vertices 0..n-1; arcs are ordered pairs, no self-loops."""
@@ -40,13 +48,14 @@ class DirectedGraph:
     edges: frozenset
 
     def __init__(self, n: int, edges):
-        arcs = frozenset((int(i), int(j)) for i, j in edges)
+        n = _as_int(n)
+        arcs = frozenset((_as_int(i), _as_int(j)) for i, j in edges)
         for i, j in arcs:
             if i == j:
                 raise ValueError(f"self-loop ({i},{i}) not allowed")
             if not (0 <= i < n and 0 <= j < n):
                 raise ValueError(f"arc ({i},{j}) out of range for n={n}")
-        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", arcs)
 
     def successor_lists(self) -> list:
@@ -70,7 +79,7 @@ class DirectedGraph:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DirectedGraph":
-        return cls(int(obj["n"]), [tuple(e) for e in obj["edges"]])
+        return cls(obj["n"], [tuple(e) for e in obj["edges"]])
 
 
 @dataclass(frozen=True)

@@ -310,6 +310,11 @@ def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
     CycleBudgetExceeded
         Propagated from cycle enumeration when the instance is too large.
     """
+    if not (isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
+    if max_iters < 0 or extra_starts < 0:
+        raise ValueError("max_iters and extra_starts must be nonnegative, "
+                         f"got {max_iters} and {extra_starts}")
     poly = polytope if polytope is not None else CyclePolytope(g, pi)
     m = poly.m
     starts = [np.full(m, 1.0 / m)]

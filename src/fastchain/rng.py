@@ -57,10 +57,9 @@ class RandomStream:
         """n doubles in [0, 1), using the top 53 bits of each word."""
         return (self.uint64(n) >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
-    def exponential(self, n: int, rate: float = 1.0) -> np.ndarray:
-        """Inverse-CDF exponential sampling; rate > 0."""
-        u = self.uniform(n)
-        return -np.log1p(-u) / rate
+    def exponential(self, n: int) -> np.ndarray:
+        """n unit-rate exponentials by inverse-CDF sampling."""
+        return -np.log1p(-self.uniform(n))
 
     def integers(self, n: int, bound: int) -> np.ndarray:
         """n integers uniform on {0, ..., bound-1} (by 53-bit rejection-free scaling)."""

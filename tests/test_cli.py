@@ -591,6 +591,75 @@ def test_dp_budgets_must_be_finite(tmp_path, capsys):
     assert "finite" in err
 
 
+def assert_rejected(argv, tmp_path, capsys) -> str:
+    """The run exits 2 with one ``error:`` line, nothing on stdout and no
+    --output file; returns the line."""
+    target = tmp_path / "out.json"
+    code, out, err = run_cli(argv + ["--output", str(target)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+    return err
+
+
+@pytest.mark.parametrize("command, graph, detail", [
+    ("optimize", {"n": 3, "edges": [[0, True], [1, 2], [2, 0]]}, "True"),
+    ("dp", {"n": 3.9, "edges": [[0, 1], [1, 2], [2, 0]]}, "3.9"),
+    ("dp", {"n": 3, "edges": [[0, 1.0], [1, 2], [2, 0]]}, "1.0"),
+])
+def test_graph_ids_must_be_integers(tmp_path, pi3_file, capsys, command, graph, detail):
+    """A bool or float vertex id or n used to be truncated by int(): the
+    bool edges ran optimize to exit 0 and n = 3.9 ran dp on 3 vertices."""
+    argv = [command, "--graph", write(tmp_path, "g.json", graph)]
+    err = assert_rejected(argv + (["--pi", pi3_file] if command == "optimize" else []),
+                          tmp_path, capsys)
+    assert f"must be integers, got {detail}" in err
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["probe-theorem2", "--graph", "{k3}", "--trials", "-2"], "trials"),
+    (["probe-theorem2", "--graph", "{k3}", "--size", "-0.01", "--trials", "1"], "-0.01"),
+    (["optimize", "--graph", "{k3}", "--pi", "{pi3}", "--starts", "-3"], "extra_starts"),
+    (["optimize", "--graph", "{k3}", "--pi", "{pi3}", "--max-iters", "-1"], "max_iters"),
+    (["optimize", "--graph", "{k3}", "--pi", "{pi3}", "--tol=-1e-8", "--max-iters", "5"], "tol"),
+    (["optimize", "--graph", "{k3}", "--pi", "{pi3}", "--tol", "nan"], "tol"),
+    (["optimize", "--graph", "{k3}", "--pi", "{pi3}", "--tol", "inf"], "tol"),
+])
+def test_negative_counts_and_sizes_exit_2(tmp_path, pi3_file, capsys, argv, detail):
+    """Negative trials, sizes, starts and iteration counts, and a tolerance
+    that is negative or not finite, used to run: --trials -2 reported a
+    success fraction of -0.0 and --starts -3 ran no extra start."""
+    paths = {"k3": write(tmp_path, "k3.json", complete_graph(3).to_json()), "pi3": pi3_file}
+    err = assert_rejected([a.format(**paths) for a in argv], tmp_path, capsys)
+    assert detail in err
+
+
+@pytest.mark.parametrize("command, matrix, rates", [
+    ("eval", "--generator", [[-1, 1, 0], [0, -1, 1], [1, 0, -1]]),
+    ("discrete", "--kernel", [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+])
+def test_pi_of_the_wrong_length_names_both_sizes(tmp_path, capsys, command, matrix, rates):
+    """A 2-entry pi for 3 states used to end in numpy's gufunc message."""
+    mpath = write(tmp_path, "m.json", {"n": 3, "rates": rates})
+    ppath = write(tmp_path, "pi2.json", [0.5, 0.5])
+    err = assert_rejected([command, matrix, mpath, "--pi", ppath], tmp_path, capsys)
+    assert err == "error: pi has 2 entries for 3 states\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--second", "--generator", "{ham3}"],
+    ["dp", "--mode", "discrete", "--budgets", "{budgets}", "--graph", "{k3}"],
+    ["discrete", "--compare", "--kernel", "/nonexistent.json", "--graph", "{k3}", "--pi", "{pi3}"],
+])
+def test_options_that_would_do_nothing_exit_2(tmp_path, ham3_file, pi3_file, capsys, argv):
+    """--second without --derivatives, --budgets in discrete mode and
+    --kernel with --compare used to be ignored, and exit 0."""
+    paths = {"ham3": ham3_file, "pi3": pi3_file,
+             "k3": write(tmp_path, "k3.json", complete_graph(3).to_json()),
+             "budgets": write(tmp_path, "b.json", [1.0, 1.0, 1.0])}
+    assert_rejected([a.format(**paths) for a in argv], tmp_path, capsys)
+
+
 def test_selftest_runs():
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-m", "fastchain.cli", "--selftest"],

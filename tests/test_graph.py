@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,17 @@ def test_graph_validation():
         DirectedGraph(3, [(0, 0)])
     with pytest.raises(ValueError):
         DirectedGraph(3, [(0, 3)])
+
+
+def test_graph_ids_are_python_or_numpy_integers():
+    """int() would truncate a float and read a bool as 0 or 1."""
+    g = DirectedGraph(np.int64(3), [(np.int64(0), np.int32(1)), (1, 2), (2, 0)])
+    assert (g.n, type(g.n)) == (3, int)
+    assert all(type(v) is int for arc in g.edges for v in arc)
+    for n, edges in [(3.0, [(0, 1)]), (True, []), (3, [(0, True)]),
+                     (3, [(np.float64(1.0), 0)]), (3, [(np.bool_(True), 0)])]:
+        with pytest.raises(ValueError, match="must be integers"):
+            DirectedGraph(n, edges)
 
 
 def test_cycle_canonical_rotation():
