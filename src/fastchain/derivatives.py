@@ -47,7 +47,6 @@ from .graph import Cycle
 __all__ = [
     "DirectionInvalid",
     "DerivativeReport",
-    "psi_solve",
     "h_cross",
     "directional_derivative",
     "second_directional",
@@ -74,29 +73,6 @@ def _as_direction(direction, pi: ProbabilityVector) -> Generator:
     return direction
 
 
-def psi_solve(kern: HittingKernel, cycle: Cycle, y: int) -> np.ndarray:
-    """First-order response profile psi_y for a cycle direction.
-
-    Solves L psi = L_A phi_y with psi(y) = 0, phi_y being the hitting-time
-    column to y, as psi = g(y) - g with g = Z L_A phi_y.  The solution is
-    always compared against the independent closed form
-
-        psi_y(x) = (1/n) sum_l (phi_y(a_{l+1}) - phi_y(a_l))
-                               (phi_{a_l}(x) - phi_{a_l}(y)),
-
-    and an :class:`IdentityViolation` is raised when they disagree by more
-    than the rounding allowance of a quantity of order M(L)^2 (see
-    :func:`_rounding_tol`).  The fundamental-matrix value is returned.
-    """
-    arcs = _CycleArcs([cycle])
-    g = kern.Z @ (arcs.rates(kern.pi.weights)[0] @ kern.E[:, y])
-    psi = g[y] - g
-    err = float(np.abs(psi - _psi_closed_form(kern.E, arcs, y)).max())
-    if err > _rounding_tol(kern, 2):
-        raise IdentityViolation(f"psi closed-form disagreement {err!r}")
-    return psi
-
-
 def _rounding_tol(kern: HittingKernel, power: int) -> float:
     """Allowed disagreement between two routes to a quantity of order
     M(L)^power: 1e3 n eps M(L)^power.
@@ -106,14 +82,11 @@ def _rounding_tol(kern: HittingKernel, power: int) -> float:
     their rounding scales with them: the measured gaps stay below
     0.4 n eps M^2 for psi and 3 n eps M^3 for the chained term on chains
     with M(L) up to 1e7, and reach 280 n eps M^3 at M(L) = 2e8.  A relative
-    disagreement above about 1e-12 n still raises.
+    disagreement above about 1e-12 n still raises.  The program reads power
+    3 (the chained term); power 2 serves the test suite's psi oracle, which
+    compares the solved psi with its closed form.
     """
     return 1e3 * kern.E.shape[0] * np.finfo(float).eps * kern.m_bound ** power
-
-
-def _psi_closed_form(E: np.ndarray, arcs: _CycleArcs, y: int) -> np.ndarray:
-    ((_, (a,), (a1,)),) = arcs.groups
-    return (E[:, a] - E[y, a]) @ (E[a1, y] - E[a, y]) / len(a)
 
 
 def directional_derivative(kern: HittingKernel, direction) -> float:

@@ -41,6 +41,7 @@ from .generator import (
     NotIrreducible,
     ProbabilityVector,
     ZeroGenerator,
+    _from_json,
     _require_invariant,
     _require_irreducible,
     equilibrium_rate,
@@ -91,7 +92,7 @@ class Kernel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Kernel":
-        return cls(np.asarray(obj["rates"], dtype=float))
+        return _from_json(cls, obj)
 
     @cached_property
     def clock(self) -> Generator:

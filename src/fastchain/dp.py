@@ -252,7 +252,6 @@ class BudgetSearchResult(Report):
 
 
 def optimal_budget_search(g: DirectedGraph, grid: int = 12,
-                          start: int | None = None,
                           objective: str = "time") -> BudgetSearchResult:
     """Minimize the covering cost over rate budgets on the simplex sum a = n.
 
@@ -267,9 +266,8 @@ def optimal_budget_search(g: DirectedGraph, grid: int = 12,
     skewed budget beats it, since rich graphs can reorder visits by
     budget), so no all-ones guarantee is attached.
 
-    Start-averaged by default; with ``start`` given only that start's value
-    is minimized.  Coarse simplex grid scan followed by pairwise
-    coordinate descent.
+    The value is averaged over the start vertices.  Coarse simplex grid scan
+    followed by pairwise coordinate descent.
     """
     n = g.n
     if n > 6:
@@ -286,8 +284,6 @@ def optimal_budget_search(g: DirectedGraph, grid: int = 12,
             table = _solve_table(g, lambda i, size: 1.0 / a[i], terminal=1.0 / a)
         else:
             table = continuous_value_function(g, a)
-        if start is not None:
-            return table.start_value(start)
         return table.mean_start_value()
 
     best_a, best_v = None, np.inf

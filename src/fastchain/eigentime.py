@@ -49,7 +49,6 @@ __all__ = [
     "spectrum",
     "eigentime_spectral",
     "spectral_second_identity",
-    "return_time_identities",
     "simulate_hitting",
     "hitting_report",
     "hamiltonian_speed_value",
@@ -227,46 +226,6 @@ def eigentime_spectral(L: Generator) -> float:
 def spectral_second_identity(L: Generator, pi: ProbabilityVector) -> tuple:
     """Both sides of sum_{x,y} pi(x) pi(y) h(x,y) = sum 1/lambda^2."""
     return hitting_kernel(L, pi).h_mean, spectrum(L).sum_reciprocals(2)
-
-
-@dataclass(frozen=True)
-class ReturnTimeReport:
-    """Start-averaged hitting / return times to one target, with the
-    spectral sums they are classically equated to."""
-
-    hitting_avg: float
-    spectral_sum: float
-    return_avg: float
-    spectral_sum_plus_one: float
-
-
-def return_time_identities(L: Generator, pi: ProbabilityVector, y: int) -> ReturnTimeReport:
-    """Start-averaged hitting and return times to y against spectral sums.
-
-    ``hitting_avg`` is sum_x pi(x) E_x[tau_y]; ``return_avg`` replaces the
-    x = y term by the mean return time E_y[T_y], computed by one-step
-    conditioning (mean holding time 1/L(y) plus the jump-averaged hitting
-    time back to y).
-
-    By the Kac formula pi(y) E_y[T_y] = 1/L(y), so return_avg - hitting_avg
-    = 1/L(y) exactly, and the classical "+1" shift of the spectral sum can
-    only hold at vertices with unit exit rate; both sides are reported
-    rather than asserted.  The identities that do hold unconditionally are
-    the target-averaged (Kemeny) ones, see :attr:`HittingKernel.kemeny`.
-    """
-    E = hitting_kernel(L, pi).E
-    s = spectrum(L).sum_reciprocals(1)
-    hitting_avg = float(pi.weights @ E[:, y])
-    rate_y = -L.rates[y, y]
-    jump = L.rates[y, :].copy()
-    jump[y] = 0.0
-    ret = 1.0 / rate_y + float(jump @ E[:, y]) / rate_y
-    return ReturnTimeReport(
-        hitting_avg=hitting_avg,
-        spectral_sum=s,
-        return_avg=hitting_avg + pi[y] * ret,
-        spectral_sum_plus_one=1.0 + s,
-    )
 
 
 @dataclass(frozen=True)

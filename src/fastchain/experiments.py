@@ -34,6 +34,7 @@ from .generator import (
     combine,
     cycle_generator,
     invariant_measure,
+    normalize,
 )
 from .graph import (
     Cycle,
@@ -221,8 +222,7 @@ def find_counterexample(g: DirectedGraph) -> CounterexampleReport:
         for eps in (10.0 ** -k for k in range(1, 9)):
             mixed = Generator(L_r.rates + eps * L_g.rates)
             pi = invariant_measure(mixed)
-            z = float(pi.weights @ mixed.exit_rates())
-            L = Generator(mixed.rates / z)
+            L = normalize(mixed, pi)
             f_pert = inverse_speed(L, pi)
             if hamiltonian_speed_value(pi) > f_pert:
                 ham_vals = tuple(inverse_speed(cycle_generator(pi, h), pi) for h in hams)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Cycle, DirectedGraph, _support_strongly_connected
+from .graph import Cycle, DirectedGraph, _as_int, _support_strongly_connected
 
 __all__ = [
     "ProbabilityVector",
@@ -30,7 +30,6 @@ __all__ = [
     "normalize",
     "decompose_into_cycles",
     "combine",
-    "is_compatible",
     "support_graph",
 ]
 
@@ -126,7 +125,17 @@ class Generator:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Generator":
-        return cls(np.asarray(obj["rates"], dtype=float))
+        return _from_json(cls, obj)
+
+
+def _from_json(cls, obj: dict):
+    """A Generator or Kernel from its file; "n" must be the integer size of
+    "rates", as in graph files."""
+    n = _as_int(obj["n"])
+    out = cls(np.asarray(obj["rates"], dtype=float))
+    if out.n != n:
+        raise ValueError(f'"n" is {n} but "rates" is {out.n}x{out.n}')
+    return out
 
 
 @dataclass(frozen=True)
@@ -257,13 +266,6 @@ def normalize(L: Generator, pi: ProbabilityVector) -> Generator:
     if c <= ROW_SUM_TOL:
         raise ZeroGenerator("cannot normalize a zero generator")
     return Generator(L.rates / c)
-
-
-def is_compatible(L: Generator, g: DirectedGraph) -> bool:
-    """True iff every strictly positive off-diagonal rate sits on an arc of g."""
-    if L.n != g.n:
-        raise ValueError("dimension mismatch")
-    return support_graph(L).edges <= g.edges
 
 
 def _check_member(L: Generator, pi: ProbabilityVector):

@@ -71,9 +71,6 @@ class DirectedGraph:
             out[j].append(i)
         return out
 
-    def has_edge(self, i: int, j: int) -> bool:
-        return (i, j) in self.edges
-
     def to_json(self) -> dict:
         return {"n": self.n, "edges": sorted(list(e) for e in self.edges)}
 
@@ -237,7 +234,7 @@ def enumerate_hamiltonian_cycles(g: DirectedGraph) -> list:
 
     def extend(v):
         if len(path) == n:
-            if g.has_edge(v, 0):
+            if (v, 0) in g.edges:
                 cycles.append(Cycle(path))
             return
         for w in succ[v]:

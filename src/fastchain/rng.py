@@ -7,7 +7,8 @@ the sequence a pure function of ``(seed, i)``, so results are reproducible
 bit for bit across platforms and across chunkings of the draw.
 
 Constants are the standard SplitMix64 ones and are frozen: tests rely on
-exact output values.
+exact output values.  A stream offers only the draws the program makes;
+the test suite builds its integers and shuffles on ``uniform``.
 """
 
 from __future__ import annotations
@@ -61,19 +62,7 @@ class RandomStream:
         """n unit-rate exponentials by inverse-CDF sampling."""
         return -np.log1p(-self.uniform(n))
 
-    def integers(self, n: int, bound: int) -> np.ndarray:
-        """n integers uniform on {0, ..., bound-1} (by 53-bit rejection-free scaling)."""
-        return np.minimum((self.uniform(n) * bound).astype(np.int64), bound - 1)
-
     def simplex(self, k: int) -> np.ndarray:
         """One uniform (Dirichlet(1,...,1)) point on the k-simplex."""
         e = self.exponential(k)
         return e / e.sum()
-
-    def shuffled(self, items: list) -> list:
-        """Fisher-Yates shuffle of a copy of ``items``."""
-        out = list(items)
-        for i in range(len(out) - 1, 0, -1):
-            j = int(self.integers(1, i + 1)[0])
-            out[i], out[j] = out[j], out[i]
-        return out

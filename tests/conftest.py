@@ -1,7 +1,8 @@
 """Shared instances and samplers for the test suite.
 
 Random suites are drawn from the package's own deterministic stream so
-every run sees the same instances.  Polytope members are sampled as cycle
+every run sees the same instances; its integers and shuffles are built
+here on the stream's uniforms.  Polytope members are sampled as cycle
 mixtures, which spans the full feasible set (mixtures of the extreme
 points) and guarantees pi-invariance by construction.
 
@@ -12,7 +13,9 @@ with a heap-based Dijkstra per popcount level or with Bellman sweeps over
 the whole state space, routes independent of the package's
 level-vectorized relaxations.  Strong connectivity and Hamiltonian paths
 and cycles are found by plain depth-first search, independent of the
-package's transitive closure and cycle enumeration.
+package's transitive closure and cycle enumeration.  The first-order
+profile psi is solved from the fundamental matrix and held to its closed
+form over the hitting-time matrix.
 """
 
 import heapq
@@ -22,7 +25,8 @@ import numpy as np
 import pytest
 
 from fastchain._serialize import WHOLE_BELOW, _escape, _render_floats
-from fastchain.eigentime import hitting_kernel
+from fastchain.derivatives import _rounding_tol
+from fastchain.eigentime import HittingKernel, IdentityViolation, hitting_kernel
 from fastchain.generator import Generator, ProbabilityVector, _CycleArcs, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, enumerate_simple_cycles, segment_graph
 from fastchain.rng import RandomStream
@@ -48,6 +52,20 @@ def random_walk3():
 @pytest.fixture
 def s2():
     return segment_graph(2)
+
+
+def integers(stream: RandomStream, n: int, bound: int) -> np.ndarray:
+    """n integers uniform on {0, ..., bound-1} (by 53-bit rejection-free scaling)."""
+    return np.minimum((stream.uniform(n) * bound).astype(np.int64), bound - 1)
+
+
+def shuffled(stream: RandomStream, items: list) -> list:
+    """Fisher-Yates shuffle of a copy of ``items``."""
+    out = list(items)
+    for i in range(len(out) - 1, 0, -1):
+        j = int(integers(stream, 1, i + 1)[0])
+        out[i], out[j] = out[j], out[i]
+    return out
 
 
 def random_pi(stream: RandomStream, n: int, spread: float = 0.6) -> ProbabilityVector:
@@ -151,6 +169,34 @@ def anchored_mean_psi_cross(rates: np.ndarray, pi: np.ndarray, rates_a: np.ndarr
     return total
 
 
+def psi_solve(kern: HittingKernel, cycle: Cycle, y: int) -> np.ndarray:
+    """First-order response profile psi_y for a cycle direction.
+
+    Solves L psi = L_A phi_y with psi(y) = 0, phi_y being the hitting-time
+    column to y, as psi = g(y) - g with g = Z L_A phi_y.  The solution is
+    always compared against the independent closed form
+
+        psi_y(x) = (1/n) sum_l (phi_y(a_{l+1}) - phi_y(a_l))
+                               (phi_{a_l}(x) - phi_{a_l}(y)),
+
+    and an :class:`IdentityViolation` is raised when they disagree by more
+    than the rounding allowance of a quantity of order M(L)^2 (see
+    ``derivatives._rounding_tol``).  The fundamental-matrix value is returned.
+    """
+    arcs = _CycleArcs([cycle])
+    g = kern.Z @ (arcs.rates(kern.pi.weights)[0] @ kern.E[:, y])
+    psi = g[y] - g
+    err = float(np.abs(psi - _psi_closed_form(kern.E, arcs, y)).max())
+    if err > _rounding_tol(kern, 2):
+        raise IdentityViolation(f"psi closed-form disagreement {err!r}")
+    return psi
+
+
+def _psi_closed_form(E: np.ndarray, arcs: _CycleArcs, y: int) -> np.ndarray:
+    ((_, (a,), (a1,)),) = arcs.groups
+    return (E[:, a] - E[y, a]) @ (E[a1, y] - E[a, y]) / len(a)
+
+
 def f_reference(rates: np.ndarray, pi: ProbabilityVector) -> float:
     """F through the anchored-solve hitting matrix (finite-difference oracle
     path, independent of the package's fundamental-matrix kernel)."""
@@ -202,7 +248,7 @@ def stationarity_oracle(L: Generator, pi: ProbabilityVector, cycles) -> tuple:
 
 def random_ham_digraph(n: int, stream: RandomStream, extra: float = 0.25) -> DirectedGraph:
     """Random permutation cycle plus Bernoulli(extra) arcs."""
-    perm = stream.shuffled(list(range(n)))
+    perm = shuffled(stream, list(range(n)))
     edges = {(perm[i], perm[(i + 1) % n]) for i in range(n)}
     u = stream.uniform(n * n)
     k = 0
@@ -341,7 +387,7 @@ def has_hamiltonian_cycle(g: DirectedGraph) -> bool:
     passes through vertex 0, so the search is rooted there."""
     if g.n == 1:
         return False
-    return _hamiltonian_path_from(g.successor_lists(), 0, lambda v: g.has_edge(v, 0))
+    return _hamiltonian_path_from(g.successor_lists(), 0, lambda v: (v, 0) in g.edges)
 
 
 def match_multisets(a, b, tol: float = 1e-7) -> bool:

@@ -50,6 +50,7 @@ from conftest import (
     has_hamiltonian_path_from,
     random_ham_digraph,
     random_pi,
+    shuffled,
 )
 
 
@@ -63,10 +64,10 @@ def sample_member(n: int, pi: ProbabilityVector, stream: RandomStream,
                   n_cycles: int = 8) -> Generator:
     """Random normalized pi-invariant generator: mixture of a Hamiltonian
     cycle (for irreducibility) and random shorter cycles."""
-    cycles = [Cycle(stream.shuffled(list(range(n))))]
+    cycles = [Cycle(shuffled(stream, list(range(n))))]
     for _ in range(n_cycles - 1):
         k = 2 + int(stream.uniform(1)[0] * (n - 1))
-        cycles.append(Cycle(stream.shuffled(list(range(n)))[:k]))
+        cycles.append(Cycle(shuffled(stream, list(range(n)))[:k]))
     w = stream.simplex(len(cycles))
     w = 0.7 * w + 0.3 / len(cycles)
     w = w / w.sum()
@@ -80,7 +81,7 @@ def test_criterion_1_hamiltonian_value():
     for t, n in enumerate([3, 4, 5, 6, 7, 8] * 3):
         s = stream.spawn(t)
         pi = random_pi(s, n)
-        cyc = Cycle(s.shuffled(list(range(n))))
+        cyc = Cycle(shuffled(s, list(range(n))))
         L = cycle_generator(pi, cyc)
         assert abs(inverse_speed(L, pi) - hamiltonian_speed_value(pi)) <= 1e-10
     for n in range(3, 9):

@@ -646,6 +646,25 @@ def test_pi_of_the_wrong_length_names_both_sizes(tmp_path, capsys, command, matr
     assert err == "error: pi has 2 entries for 3 states\n"
 
 
+@pytest.mark.parametrize("command, matrix, rates", [
+    ("eval", "--generator", [[-1, 1, 0], [0, -1, 1], [1, 0, -1]]),
+    ("discrete", "--kernel", [[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+], ids=["eval", "discrete"])
+@pytest.mark.parametrize("header, detail", [
+    ({"n": 5}, '"n" is 5 but "rates" is 3x3'),
+    ({"n": 3.0}, "must be integers, got 3.0"),
+    ({}, "'n'"),
+], ids=["n_mismatch", "n_float", "n_missing"])
+def test_matrix_files_must_state_their_size(tmp_path, pi3_file, capsys, command, matrix,
+                                            rates, header, detail):
+    """A generator or kernel file's "n" used to be ignored: {"n": 5, "rates":
+    <3x3>} ran as a 3-state chain and exited 0.  It is read as graph files
+    read theirs: an integer, required, equal to the size of "rates"."""
+    mpath = write(tmp_path, "m.json", {**header, "rates": rates})
+    err = assert_rejected([command, matrix, mpath, "--pi", pi3_file], tmp_path, capsys)
+    assert detail in err
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--second", "--generator", "{ham3}"],
     ["dp", "--mode", "discrete", "--budgets", "{budgets}", "--graph", "{k3}"],
@@ -661,11 +680,14 @@ def test_options_that_would_do_nothing_exit_2(tmp_path, ham3_file, pi3_file, cap
 
 
 def test_selftest_runs():
+    """Like the report goldens, the residuals hold the last bits of LAPACK
+    results, so the pinned lines belong to one numpy/OpenBLAS build."""
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-m", "fastchain.cli", "--selftest"],
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "selftest: PASS" in proc.stdout
+    assert proc.stdout == (GOLDEN / "selftest.txt").read_text()
 
 
 def test_float_serialization_roundtrip():

@@ -12,7 +12,6 @@ from fastchain.derivatives import (
     derivative_reports,
     directional_derivative,
     h_cross,
-    psi_solve,
     second_directional,
 )
 from fastchain.eigentime import IdentityViolation, hitting_kernel, inverse_speed
@@ -26,13 +25,16 @@ from fastchain.generator import (
 from fastchain.graph import Cycle, complete_graph, enumerate_simple_cycles
 from fastchain.rng import RandomStream
 
+import conftest
 from conftest import (
     anchored_mean_psi_cross,
     derivative_reports_oracle,
     f_reference,
+    psi_solve,
     random_ham_digraph,
     random_member,
     random_pi,
+    shuffled,
 )
 
 
@@ -297,13 +299,13 @@ def test_cross_checks_catch_relative_error_on_stiff_chain(monkeypatch, rel):
     L, pi, cycles = stiff_path(10, 1e-4)
     middle, across = cycles[4], Cycle([3, 4, 5])
     kern = hitting_kernel(L, pi)
-    psi_closed = derivatives._psi_closed_form
+    psi_closed = conftest._psi_closed_form
     self_cross, h_assembled = derivatives._self_cross, derivatives.h_cross
-    monkeypatch.setattr(derivatives, "_psi_closed_form",
+    monkeypatch.setattr(conftest, "_psi_closed_form",
                         lambda *args: psi_closed(*args) * (1 + rel))
     with pytest.raises(IdentityViolation):
         psi_solve(kern, middle, 0)
-    monkeypatch.setattr(derivatives, "_psi_closed_form", psi_closed)
+    monkeypatch.setattr(conftest, "_psi_closed_form", psi_closed)
     second_directional(kern, middle)
     second_directional(kern, middle, across)
     monkeypatch.setattr(derivatives, "_self_cross",
@@ -328,7 +330,7 @@ def shuffled_member(n: int, seed: int):
     s = RandomStream(seed)
     pi = random_pi(s, n)
     L, cycles, _ = random_member(random_ham_digraph(n, s, extra=0.3), pi, s)
-    return hitting_kernel(L, pi), s.shuffled(list(cycles))
+    return hitting_kernel(L, pi), shuffled(s, list(cycles))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

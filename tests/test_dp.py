@@ -24,6 +24,7 @@ from fastchain.rng import RandomStream
 from conftest import (
     dijkstra_table_oracle,
     has_hamiltonian_path_from,
+    integers,
     random_ham_digraph,
     value_iteration_oracle,
 )
@@ -198,7 +199,7 @@ def _covering_graph(n, density, hamiltonian, stream):
     Hamiltonian cycle, so walks revisit."""
     if hamiltonian and n > 1:
         return random_ham_digraph(n, stream.spawn(0), extra=density)
-    parent = [int(stream.spawn(2 + v).integers(1, v)[0]) for v in range(1, n)]
+    parent = [int(integers(stream.spawn(2 + v), 1, v)[0]) for v in range(1, n)]
     u = stream.spawn(0).uniform(n * n)
     return DirectedGraph(n, [(v, p) for v, p in enumerate(parent, 1)]
                          + [(p, v) for v, p in enumerate(parent, 1)]
@@ -262,7 +263,7 @@ def _walk_cost(g, a, path, unvisited, lazy):
     with ``lazy`` a self-loop, and the walk ends with nothing unvisited."""
     cost = 0.0
     for i, j in zip(path, path[1:]):
-        assert g.has_edge(i, j) or (lazy and i == j)
+        assert (i, j) in g.edges or (lazy and i == j)
         cost += len(unvisited) / a[i]
         unvisited.discard(j)
     assert not unvisited

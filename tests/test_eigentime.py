@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,21 +13,22 @@ from fastchain.eigentime import (
     hitting_kernel,
     hitting_report,
     inverse_speed,
-    return_time_identities,
     simulate_hitting,
     spectral_second_identity,
     spectrum,
 )
-from fastchain.derivatives import psi_solve
 from fastchain.generator import Generator, ProbabilityVector, _CycleArcs, cycle_generator
 from fastchain.graph import Cycle, complete_graph
 from fastchain.rng import RandomStream
 
 from conftest import (
     anchored_moments,
+    integers,
+    psi_solve,
     random_ham_digraph,
     random_member,
     random_pi,
+    shuffled,
     simulate_hitting_oracle,
 )
 
@@ -155,9 +158,9 @@ def random_cycle_mixture(n: int, seed: int):
     decades."""
     s = RandomStream(seed)
     pi = random_pi(s, n)
-    cycles = [Cycle(s.shuffled(list(range(n))))]
+    cycles = [Cycle(shuffled(s, list(range(n))))]
     for _ in range(n):
-        verts = s.shuffled(list(range(n)))
+        verts = shuffled(s, list(range(n)))
         cycles.append(Cycle(verts[:2 + int(s.uniform(1)[0] * (n - 1))]))
     w = 10.0 ** (-3.0 * s.uniform(len(cycles)))
     w = w / w.sum()
@@ -183,6 +186,46 @@ def test_kernel_matches_anchored_oracle(n, seed):
     assert kern.m_bound == kern.E.max()
 
 
+@dataclass(frozen=True)
+class ReturnTimeReport:
+    """Start-averaged hitting / return times to one target, with the
+    spectral sums they are classically equated to."""
+
+    hitting_avg: float
+    spectral_sum: float
+    return_avg: float
+    spectral_sum_plus_one: float
+
+
+def return_time_identities(L: Generator, pi: ProbabilityVector, y: int) -> ReturnTimeReport:
+    """Start-averaged hitting and return times to y against spectral sums.
+
+    ``hitting_avg`` is sum_x pi(x) E_x[tau_y]; ``return_avg`` replaces the
+    x = y term by the mean return time E_y[T_y], computed by one-step
+    conditioning (mean holding time 1/L(y) plus the jump-averaged hitting
+    time back to y).
+
+    By the Kac formula pi(y) E_y[T_y] = 1/L(y), so return_avg - hitting_avg
+    = 1/L(y) exactly, and the classical "+1" shift of the spectral sum can
+    only hold at vertices with unit exit rate; both sides are reported
+    rather than asserted.  The identities that do hold unconditionally are
+    the target-averaged (Kemeny) ones, see :attr:`HittingKernel.kemeny`.
+    """
+    E = hitting_kernel(L, pi).E
+    s = spectrum(L).sum_reciprocals(1)
+    hitting_avg = float(pi.weights @ E[:, y])
+    rate_y = -L.rates[y, y]
+    jump = L.rates[y, :].copy()
+    jump[y] = 0.0
+    ret = 1.0 / rate_y + float(jump @ E[:, y]) / rate_y
+    return ReturnTimeReport(
+        hitting_avg=hitting_avg,
+        spectral_sum=s,
+        return_avg=hitting_avg + pi[y] * ret,
+        spectral_sum_plus_one=1.0 + s,
+    )
+
+
 def test_return_time_identities_cycle(uniform_cycle3, pi3):
     for y in range(3):
         r = return_time_identities(uniform_cycle3, pi3, y)
@@ -199,7 +242,7 @@ def test_return_time_identities_unit_diagonal_family():
         s = stream.spawn(t)
         n = 3 + t % 4
         pi = random_pi(s, n)
-        L = cycle_generator(ProbabilityVector.uniform(n), Cycle(s.shuffled(list(range(n)))))
+        L = cycle_generator(ProbabilityVector.uniform(n), Cycle(shuffled(s, list(range(n)))))
         piu = ProbabilityVector.uniform(n)
         for y in range(n):
             r = return_time_identities(L, piu, y)
@@ -301,7 +344,7 @@ def test_simulate_hitting_matches_the_full_scan(n, seed, samples):
     s = RandomStream(seed)
     pi = random_pi(s, n)
     L, _, _ = random_member(random_ham_digraph(n, s, extra=0.1), pi, s)
-    x, y = (int(v) for v in s.integers(2, n))
+    x, y = (int(v) for v in integers(s, 2, n))
     uniform = RandomStream.uniform
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(RandomStream, "uniform",
@@ -336,7 +379,7 @@ def test_hamiltonian_value_random():
         s = stream.spawn(t)
         n = 3 + t % 6
         pi = random_pi(s, n)
-        cyc = Cycle(s.shuffled(list(range(n))))
+        cyc = Cycle(shuffled(s, list(range(n))))
         L = cycle_generator(pi, cyc)
         assert abs(inverse_speed(L, pi) - hamiltonian_speed_value(pi)) <= 1e-10
 

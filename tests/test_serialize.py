@@ -23,7 +23,7 @@ from fastchain.graph import Cycle, complete_graph
 from fastchain.optimizer import frank_wolfe_minimize
 from fastchain.rng import RandomStream
 
-from conftest import dumps_oracle
+from conftest import dumps_oracle, integers
 
 SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -7.0, 12345.0, 9999999999999998.0, -9999999999999998.0,
            1e16, -1e16, 1.5e16, -1.5e16, 2.0 ** 53, 2.0 ** 53 + 2, 1e300, -1e300, 1e-300,
@@ -35,13 +35,13 @@ def _random_17_digit(stream, size):
     """Signed values from 1e-22 to 1e10, where a random double is almost
     never whole (SPECIAL holds the large whole ones)."""
     sign = np.where(stream.uniform(size) < 0.5, -1.0, 1.0)
-    return sign * (stream.uniform(size) + 0.01) * 10.0 ** (stream.integers(size, 30) - 20.0)
+    return sign * (stream.uniform(size) + 0.01) * 10.0 ** (integers(stream, size, 30) - 20.0)
 
 
 def _cases():
     stream = RandomStream(11)
     special = np.array(SPECIAL)
-    mixed = special[stream.integers(36, len(SPECIAL))]
+    mixed = special[integers(stream, 36, len(SPECIAL))]
     mixed[::3] = _random_17_digit(stream, 12)
     noise = _random_17_digit(stream, 30)
     assert not np.any((noise == np.trunc(noise)) & (np.abs(noise) < 1e16))
@@ -54,7 +54,7 @@ def _ties():
     significant digits, the last a 5, so the 17-digit text is a tie."""
     stream = RandomStream(14)
     k = np.arange(16)
-    t = 2.0 ** (17 - k) * 10.0 ** k + 1 + 2 * stream.integers(16, 1000)
+    t = 2.0 ** (17 - k) * 10.0 ** k + 1 + 2 * integers(stream, 16, 1000)
     return t / 2.0 ** (17 - k)
 
 
@@ -70,13 +70,13 @@ def _large_cases():
     edges = np.concatenate([np.nextafter(powers, np.inf), np.nextafter(powers, -np.inf), _ties(),
                             [2.0 ** 52 - 0.5, 2.0 ** 52 - 1.5, 131073 / 131072], SPECIAL])
     size = 3 * CUT
-    fixed = (stream.uniform(size) + 0.01) * 10.0 ** stream.integers(size, 16)
+    fixed = (stream.uniform(size) + 0.01) * 10.0 ** integers(stream, size, 16)
     small = _random_17_digit(stream, size) * 1e-10
     a = np.where(stream.uniform(size) < 0.2, small, fixed)
     a[:len(edges)] = edges
     a[len(edges):len(edges) + 40] = np.trunc(a[len(edges):len(edges) + 40])
     a[stream.uniform(size) < 0.5] *= -1.0
-    a = a[stream.integers(size, size).argsort(kind="stable")]
+    a = a[integers(stream, size, size).argsort(kind="stable")]
     mostly_small = np.where(stream.uniform(CUT) < 0.6, small[:CUT], fixed[:CUT])
     return [a[:CUT], a[:CUT].reshape(16, -1), a, a.reshape(48, -1), a[:CUT].reshape(-1, 1), mostly_small,
             np.full(CUT, 131073 / 131072)]
@@ -157,8 +157,8 @@ def test_escape_matches_per_character_rule():
     stream = RandomStream(12)
     alphabet = [chr(c) for c in range(301)] + ["\U0001f600", " ", "\x7f"]
     for _ in range(500):
-        k = int(stream.integers(1, 12)[0])
-        s = "".join(alphabet[i] for i in stream.integers(k, len(alphabet)))
+        k = int(integers(stream, 1, 12)[0])
+        s = "".join(alphabet[i] for i in integers(stream, k, len(alphabet)))
         assert _escape(s) == oracle(s)
     assert _escape("") == '""'
     assert dumps({'a"\\\n\x00': 'é\t'}) == '{\n  "a\\"\\\\\\u000a\\u0000": "é\\u0009"\n}\n'
