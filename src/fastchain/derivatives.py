@@ -1,8 +1,8 @@
 """Exact directional derivatives of the inverse speed F on the generator polytope.
 
-Directions are differences L_dir - L where L_dir ranges over the normalized
-pi-invariant generators (in particular single-cycle generators, the extreme
-points).  The first derivative along a cycle A is
+Directions are the segments from L toward the single-cycle generators L_A,
+the extreme points of the polytope.  The first derivative along a cycle A
+is
 
     D_A F(L) = F(L) - H_A(L),
 
@@ -11,10 +11,9 @@ second derivative along the segment toward L_A is assembled as
 
     d^2/de^2 F((1-e) L + e L_A) |_{e=0} = 2 F - 4 H_A + 2 H_{A,A},
 
-with H_{A,A} the chained second-order term; the mixed form for two cycles
-is the symmetric bilinear extension
-
-    2 F - 2 H_A - 2 H_A' + H_{A,A'} + H_{A',A}.
+with H_{A,A} the chained second-order term.  The mixed form for two
+cycles, 2 F - 2 H_A - 2 H_A' + H_{A,A'} + H_{A',A}, is not computed here:
+the test suite holds it as the per-entry oracle of a stacked Hessian.
 
 Every function takes the :class:`~fastchain.eigentime.HittingKernel` of
 (L, pi) first, so all derivatives at one L share its one inverse.
@@ -32,45 +31,15 @@ import numpy as np
 
 from ._serialize import Report
 from .eigentime import HittingKernel, IdentityViolation
-from .generator import (
-    CycleDecomposition,
-    Generator,
-    NotInvariant,
-    NotNormalized,
-    ProbabilityVector,
-    _CycleArcs,
-    _check_member,
-    combine,
-)
+from .generator import _CycleArcs
 from .graph import Cycle
 
 __all__ = [
-    "DirectionInvalid",
     "DerivativeReport",
-    "h_cross",
     "directional_derivative",
     "second_directional",
     "derivative_reports",
 ]
-
-
-class DirectionInvalid(ValueError):
-    """Direction is not a normalized pi-invariant generator within tolerance."""
-
-
-def _as_direction(direction, pi: ProbabilityVector) -> Generator:
-    """Coerce a Generator / CycleDecomposition into a validated generator."""
-    if isinstance(direction, CycleDecomposition):
-        direction = combine(direction, pi)
-    if not isinstance(direction, Generator):
-        raise TypeError(f"unsupported direction type {type(direction)!r}")
-    if direction.n != pi.n:
-        raise DirectionInvalid("dimension mismatch")
-    try:
-        _check_member(direction, pi)
-    except (NotInvariant, NotNormalized) as exc:
-        raise DirectionInvalid(f"direction is not a member: {exc}") from exc
-    return direction
 
 
 def _rounding_tol(kern: HittingKernel, power: int) -> float:
@@ -89,41 +58,21 @@ def _rounding_tol(kern: HittingKernel, power: int) -> float:
     return 1e3 * kern.E.shape[0] * np.finfo(float).eps * kern.m_bound ** power
 
 
-def directional_derivative(kern: HittingKernel, direction) -> float:
-    """Derivative of F at L along the segment toward ``direction``.
-
-    ``direction`` may be a :class:`Cycle`, a normalized pi-invariant
-    :class:`Generator`, or a :class:`CycleDecomposition`; membership is
-    checked at 1e-9 and :class:`DirectionInvalid` raised otherwise.  For a
-    cycle A the value is F(L) - H_A(L).
-    """
-    if isinstance(direction, Cycle):
-        return kern.f - kern.h_cycle(direction)
-    off = _as_direction(direction, kern.pi).rates.copy()
-    np.fill_diagonal(off, 0.0)
-    return kern.f - float(np.sum(kern.pi.weights[:, None] * off * kern.h))
-
-
-def h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
-    """Chained second-order term H_{B,A}(L) for cycle directions.
-
-    Equals sum_y pi(y) pi[Psi_y] where Psi_y solves L Psi = L_B psi_y and
-    psi_y is the first-order profile for direction A.  Assembled from the
-    hitting-time and perturbation matrices, as the one-pair case of
-    :func:`_arc_sums`:
-
-        (1/(n_A n_B)) sum_{l,k} (h(b_k, a_{l+1}) - h(b_k, a_l))
-                                (phi_{a_l}(b_{k+1}) - phi_{a_l}(b_k)).
-    """
-    ((_, a, a1),) = _CycleArcs([cycle_a]).groups
-    ((_, b, b1),) = _CycleArcs([cycle_b]).groups
-    return float(_arc_sums(kern, a, a1, b, b1)[0])
+def directional_derivative(kern: HittingKernel, cycle: Cycle) -> float:
+    """Derivative of F at L along the segment toward the cycle generator
+    L_A, namely F(L) - H_A(L)."""
+    return kern.f - kern.h_cycle(cycle)
 
 
 def _arc_sums(kern: HittingKernel, a, a1, b, b1) -> np.ndarray:
-    """The arc sums of :func:`h_cross` for k pairs of cycles, from the
-    (k, l_A) tails a and heads a1 of the A's and the (k, l_B) tails b and
-    heads b1 of the B's, as ``_CycleArcs.groups`` holds them."""
+    """The chained terms H_{B,A} of k pairs of cycles assembled from the
+    hitting-time and perturbation matrices,
+
+        (1/(n_A n_B)) sum_{l,k} (h(b_k, a_{l+1}) - h(b_k, a_l))
+                                (phi_{a_l}(b_{k+1}) - phi_{a_l}(b_k)),
+
+    from the (k, l_A) tails a and heads a1 of the A's and the (k, l_B)
+    tails b and heads b1 of the B's, as ``_CycleArcs.groups`` holds them."""
     n = kern.E.shape[0]
     H, E = kern.h.ravel(), kern.E.ravel()
     # flat indices b n + a of the (k, l_B, l_A) entries [b_k, a_l]
@@ -134,27 +83,25 @@ def _arc_sums(kern: HittingKernel, a, a1, b, b1) -> np.ndarray:
     return terms.sum(axis=(1, 2)) / (a.shape[2] * b.shape[1])
 
 
-def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray,
-                    rates_b: np.ndarray) -> np.ndarray:
-    """sum_y pi(y) pi[Psi_y] straight from the fundamental matrix.
+def _mean_psi_cross(kern: HittingKernel, rates: np.ndarray) -> np.ndarray:
+    """H_{A,A} = sum_y pi(y) pi[Psi_y] straight from the fundamental matrix.
 
     The mean-zero solutions are psi_y = -Z L_A phi_y and
-    Psi_y = Z L_B Z L_A phi_y; anchoring Psi_y at y and averaging it over pi
-    (pi Z = pi, pi L_B = 0) leaves -(Z L_B Z L_A E)[y, y].  The rates may be
-    (m, n, n) stacks, giving the m terms as an array: the broadcast products
-    and the strided diagonal give each slice the bits of its 2-D product.
+    Psi_y = Z L_A Z L_A phi_y; anchoring Psi_y at y and averaging it over pi
+    (pi Z = pi, pi L_A = 0) leaves -(Z L_A Z L_A E)[y, y].  The rates may be
+    an (m, n, n) stack, giving the m terms as an array: the broadcast
+    products and the strided diagonal give each slice the bits of its 2-D
+    product.
     """
     Z = kern.Z
-    chained = Z @ rates_b @ Z @ rates_a @ kern.E
+    chained = Z @ rates @ Z @ rates @ kern.E
     diag = np.diagonal(chained, axis1=-2, axis2=-1)
     return -(kern.pi.weights @ diag[..., None])[..., 0]
 
 
 def _self_cross(kern: HittingKernel, arcs: _CycleArcs) -> np.ndarray:
-    """H_{A,A} of every cycle of ``arcs`` by the arc-sum assembly of
-    :func:`h_cross`, one :func:`_arc_sums` per cycle length.  Only the
-    summation order can differ from ``h_cross(kern, A, A)``.
-    """
+    """H_{A,A} of every cycle of ``arcs`` by the arc-sum assembly, one
+    :func:`_arc_sums` per cycle length."""
     out = np.empty(arcs.m)
     for pos, tails, heads in arcs.groups:
         out[pos] = _arc_sums(kern, tails, heads, tails, heads)
@@ -162,9 +109,8 @@ def _self_cross(kern: HittingKernel, arcs: _CycleArcs) -> np.ndarray:
 
 
 def _check_chained(assembled, solved, tol: float) -> None:
-    """Raise on the first term where the assembled and solved values differ
-    by more than tol; scalars or equal-length arrays."""
-    assembled, solved = np.atleast_1d(assembled), np.atleast_1d(solved)
+    """Raise on the first term where two equal-length arrays of assembled
+    and solved values differ by more than tol."""
     bad = np.flatnonzero(np.abs(assembled - solved) > tol)
     if bad.size:
         k = bad[0]
@@ -172,31 +118,17 @@ def _check_chained(assembled, solved, tol: float) -> None:
                                 f"vs solved {float(solved[k])!r}")
 
 
-def second_directional(kern: HittingKernel, cycle_a: Cycle,
-                       cycle_b: Cycle | None = None) -> float:
-    """Second derivative of F along cycle directions.
+def second_directional(kern: HittingKernel, cycle: Cycle) -> float:
+    """Second derivative of e -> F((1-e) L + e L_A) at e = 0, namely
+    2 F - 4 H_A + 2 H_{A,A}: the one-cycle case of :func:`derivative_reports`.
 
-    For ``cycle_b`` None or equal to ``cycle_a`` this is the second
-    derivative of e -> F((1-e) L + e L_A) at e = 0, namely
-    2 F - 4 H_A + 2 H_{A,A}, the one-cycle case of
-    :func:`derivative_reports`.  For two distinct cycles it is the symmetric
-    bilinear Hessian evaluated at the pair of segment directions,
-    2 F - 2 H_A - 2 H_B + H_{A,B} + H_{B,A}, which reduces to the former
-    when the cycles coincide and matches mixed central finite differences.
-
-    The chained terms come from -sum_y pi(y) (Z L_B Z L_A E)[y, y], which
-    keeps its accuracy where the arc-sum assembly of :func:`h_cross`
+    The chained term comes from -sum_y pi(y) (Z L_A Z L_A E)[y, y], which
+    keeps its accuracy where the arc-sum assembly (:func:`_arc_sums`)
     cancels large entries of h; the assembly is always compared against it
     within the rounding allowance of a quantity of order M(L)^3 (see
     :func:`_rounding_tol`).
     """
-    if cycle_b is None or cycle_b == cycle_a:
-        return derivative_reports(kern, [cycle_a], with_second=True)[0].second
-    rates = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
-    cross_ba, cross_ab = _mean_psi_cross(kern, rates, rates[::-1]).tolist()
-    _check_chained(h_cross(kern, cycle_a, cycle_b), cross_ba, _rounding_tol(kern, 3))
-    h_a, h_b = kern.h_cycle(cycle_a), kern.h_cycle(cycle_b)
-    return 2.0 * kern.f - 2.0 * h_a - 2.0 * h_b + cross_ab + cross_ba
+    return derivative_reports(kern, [cycle], with_second=True)[0].second
 
 
 @dataclass(frozen=True)
@@ -221,10 +153,10 @@ def derivative_reports(kern: HittingKernel, cycles,
     ``_CycleArcs.means`` of h, bit-equal to :meth:`HittingKernel.h_cycle`,
     and its chained terms H_{A,A} one stacked product over its cycle rates
     (see :func:`_mean_psi_cross`), each bit-equal to the one-cycle product.
-    Every chained term is compared against the arc-sum assembly of
-    :func:`h_cross`, as in :func:`second_directional`; the assembly of a
-    block is one gather per cycle length (:func:`_self_cross`), and the first
-    cycle outside the allowance raises :class:`IdentityViolation`.
+    Every chained term is compared against its arc-sum assembly; the
+    assembly of a block is one gather per cycle length (:func:`_self_cross`),
+    and the first cycle outside the allowance raises
+    :class:`IdentityViolation`.
     """
     cycles = list(cycles)
     f, p = kern.f, kern.pi.weights
@@ -237,7 +169,7 @@ def derivative_reports(kern: HittingKernel, cycles,
         second = [None] * len(block)
         if with_second:
             rates = arcs.rates(p)
-            cross = _mean_psi_cross(kern, rates, rates)
+            cross = _mean_psi_cross(kern, rates)
             _check_chained(_self_cross(kern, arcs), cross, tol)
             second = (2.0 * f - 2.0 * h_a - 2.0 * h_a + cross + cross).tolist()
         reports += [DerivativeReport(f_value=f, h_cycle=h, first=f - h, second=s,

@@ -192,8 +192,8 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> We
     the conditional-gradient minimum of F, the value of
     :func:`~fastchain.optimizer.f_wedge`.
     """
+    report = frank_wolfe_minimize(g, pi, seed=seed, extra_starts=8)
     poly = CyclePolytope(g, pi)
-    report = frank_wolfe_minimize(g, pi, seed=seed, extra_starts=8, polytope=poly)
 
     def discrete_objective(w: np.ndarray) -> float:
         return float((-np.diag(poly.rates(w))).max()) * poly.f_values([w])[0]

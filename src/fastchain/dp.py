@@ -251,39 +251,26 @@ class BudgetSearchResult(Report):
     best_value: float
 
 
-def optimal_budget_search(g: DirectedGraph, grid: int = 12,
-                          objective: str = "time") -> BudgetSearchResult:
-    """Minimize the covering cost over rate budgets on the simplex sum a = n.
+def optimal_budget_search(g: DirectedGraph, grid: int = 12) -> BudgetSearchResult:
+    """Minimize the expected time to cover the graph over rate budgets on
+    the simplex sum a = n.
 
-    With ``objective="time"`` (default) the cost of a visit to vertex i is
-    its expected sojourn 1/a_i, so the value is the expected time to cover
-    the graph; on a Hamiltonian graph that is at least sum_i 1/a_i >= n by
-    AM-HM, with equality exactly at the all-ones budget, which the search
-    recovers.  ``objective="weighted"`` weights each sojourn by the number
-    of still-unvisited vertices (the functional of
-    :func:`continuous_value_function`); for that accounting all-ones is
-    optimal on cycle graphs but not in general (on the complete 4-graph a
-    skewed budget beats it, since rich graphs can reorder visits by
-    budget), so no all-ones guarantee is attached.
-
-    The value is averaged over the start vertices.  Coarse simplex grid scan
-    followed by pairwise coordinate descent.
+    A visit to vertex i costs its expected sojourn 1/a_i, the terminal one
+    too, and the value is averaged over the start vertices.  On a
+    Hamiltonian graph it is at least sum_i 1/a_i >= n by AM-HM, with
+    equality exactly at the all-ones budget, which the search recovers.
+    A coarse scan of the budgets with entries in multiples of n / grid
+    (``grid`` at least 4 and at least n, so that every entry can be
+    positive) is followed by pairwise coordinate descent.
     """
     n = g.n
     if n > 6:
         raise StateSpaceTooLarge("budget search supported for n <= 6")
-    if grid < 4:
-        raise ValueError("grid must be at least 4")
-    if objective not in ("time", "weighted"):
-        raise ValueError("objective must be 'time' or 'weighted'")
-    kind = objective
+    if grid < max(4, n):
+        raise ValueError(f"grid must be at least 4 and at least n={n}, got {grid}")
 
     def objective(a: np.ndarray) -> float:
-        if kind == "time":
-            # every visit pays its expected sojourn, the terminal one too
-            table = _solve_table(g, lambda i, size: 1.0 / a[i], terminal=1.0 / a)
-        else:
-            table = continuous_value_function(g, a)
+        table = _solve_table(g, lambda i, size: 1.0 / a[i], terminal=1.0 / a)
         return table.mean_start_value()
 
     best_a, best_v = None, np.inf

@@ -35,7 +35,7 @@ from .generator import (
     _require_invariant,
     _require_irreducible,
 )
-from .graph import Cycle
+from .graph import Cycle, _as_int
 from .rng import RandomStream
 
 __all__ = [
@@ -254,15 +254,20 @@ def simulate_hitting(L: Generator, x: int, y: int, samples: int, seed: int) -> S
     up among the columns where that law can first reach it: column 0, the
     columns of positive probability and the last one.
 
-    ``std_error`` is the standard error of the mean estimate,
-    ``second_moment_std_error`` the one of the second-moment estimate.
+    ``x`` and ``y`` must be integer states in 0..n-1: a target outside
+    them would never be hit.  ``std_error`` is the standard error of the
+    mean estimate, ``second_moment_std_error`` the one of the second-moment
+    estimate.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    n = L.n
+    x, y = _as_int(x), _as_int(y)
+    if not (0 <= x < n and 0 <= y < n):
+        raise ValueError(f"states ({x}, {y}) out of range for n={n}")
     _require_irreducible(L)
     if x == y:
         return SimulationReport(0.0, 0.0, 0.0, 0.0, samples)
-    n = L.n
     rates = L.exit_rates()
     P = L.rates / rates[:, None]
     np.fill_diagonal(P, 0.0)

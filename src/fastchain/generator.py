@@ -79,9 +79,6 @@ class ProbabilityVector:
     def pi_min(self) -> float:
         return float(self.weights.min())
 
-    def __getitem__(self, i: int) -> float:
-        return float(self.weights[i])
-
     def to_json(self) -> np.ndarray:
         return self.weights
 
@@ -189,11 +186,12 @@ class _CycleArcs:
     def rates(self, p: np.ndarray) -> np.ndarray:
         """The (m, n, n) stack of cycle rates for the weights p: 1 / (len p(a))
         at arc (a, b), its negative at (a, a); the bits of a loop over the
-        arcs.  A vertex outside 0..n-1 raises ValueError (numpy would wrap it)."""
+        arcs.  A vertex n or above raises ValueError (a ``Cycle`` has no
+        negative vertex, which numpy would wrap)."""
         n = len(p)
         out = np.zeros((self.m, n, n))
         for pos, tails, heads in self.groups:
-            if tails.min() < 0 or tails.max() >= n:
+            if tails.max() >= n:
                 raise ValueError("cycle vertex out of range")
             r = 1.0 / (tails.shape[1] * p[tails])
             out[pos[:, None], tails, heads] = r

@@ -25,11 +25,11 @@ __all__ = [
     "segment_graph",
 ]
 
-DEFAULT_CYCLE_BUDGET = 100_000
+CYCLE_BUDGET = 100_000
 
 
 class CycleBudgetExceeded(RuntimeError):
-    """More simple cycles exist than the caller's budget allows."""
+    """More simple cycles exist than ``CYCLE_BUDGET`` allows."""
 
 
 def _as_int(v) -> int:
@@ -81,17 +81,21 @@ class DirectedGraph:
 
 @dataclass(frozen=True)
 class Cycle:
-    """Simple directed cycle, stored from its minimal vertex; indices wrap."""
+    """Simple directed cycle, stored from its minimal vertex; indices wrap.
+    Vertex ids are nonnegative Python or numpy integers (``_as_int``)."""
 
     vertices: tuple = field()
 
     def __init__(self, vertices):
-        verts = tuple(int(v) for v in vertices)
+        verts = tuple(_as_int(v) for v in vertices)
         if len(verts) < 2:
             raise ValueError("a cycle has at least two vertices")
+        low = min(verts)
+        if low < 0:
+            raise ValueError(f"cycle vertex {low} out of range: ids must be nonnegative")
         if len(set(verts)) != len(verts):
             raise ValueError(f"cycle vertices must be distinct: {verts}")
-        k = verts.index(min(verts))
+        k = verts.index(low)
         object.__setattr__(self, "vertices", verts[k:] + verts[:k])
 
     @classmethod
@@ -143,7 +147,7 @@ def _support_strongly_connected(rates: np.ndarray) -> bool:
     return bool(reach.all())
 
 
-def enumerate_simple_cycles(g: DirectedGraph, max_count: int = DEFAULT_CYCLE_BUDGET) -> list:
+def enumerate_simple_cycles(g: DirectedGraph) -> list:
     """All simple directed cycles of length >= 2, canonical and sorted.
 
     Johnson-style rooted backtracking: for each root ``s`` in increasing
@@ -151,20 +155,15 @@ def enumerate_simple_cycles(g: DirectedGraph, max_count: int = DEFAULT_CYCLE_BUD
     only visits vertices larger than ``s``, with the usual blocked-set
     mechanism to keep the search output-polynomial.
 
-    Parameters
-    ----------
-    g : DirectedGraph
-        Must be strongly connected (enumeration is used downstream to span
-        generator polytopes, which is empty otherwise).
-    max_count : int
-        Hard budget; exceeding it raises :class:`CycleBudgetExceeded`.
+    ``g`` must be strongly connected (enumeration is used downstream to
+    span generator polytopes, which is empty otherwise).  More than
+    ``CYCLE_BUDGET`` cycles, read at call time, raise
+    :class:`CycleBudgetExceeded`.
 
     Returns
     -------
     list of Cycle, sorted by vertex tuple.
     """
-    if max_count <= 0:
-        raise ValueError("max_count must be positive")
     if not is_strongly_connected(g):
         raise ValueError("graph must be strongly connected")
     succ = g.successor_lists()
@@ -193,9 +192,8 @@ def enumerate_simple_cycles(g: DirectedGraph, max_count: int = DEFAULT_CYCLE_BUD
                     continue
                 if w == s:
                     if len(path) >= 2:
-                        if len(cycles) >= max_count:
-                            raise CycleBudgetExceeded(
-                                f"more than {max_count} simple cycles")
+                        if len(cycles) >= CYCLE_BUDGET:
+                            raise CycleBudgetExceeded(f"more than {CYCLE_BUDGET} simple cycles")
                         # distinct, rooted at their minimum s: canonical as they stand
                         cycles.append(Cycle._canonical(tuple(path)))
                     found = True

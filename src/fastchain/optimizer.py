@@ -103,7 +103,6 @@ class CyclePolytope:
     def __init__(self, g: DirectedGraph, pi: ProbabilityVector):
         if g.n != pi.n:
             raise ValueError("graph / pi dimension mismatch")
-        self.graph = g
         self.pi = pi
         self.cycles = tuple(enumerate_simple_cycles(g))
         if not self.cycles:
@@ -286,8 +285,7 @@ def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
 
 def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
                          tol: float = 1e-8, max_iters: int = 10_000,
-                         seed: int = 0, extra_starts: int = 4,
-                         polytope: CyclePolytope | None = None) -> OptimizeReport:
+                         seed: int = 0, extra_starts: int = 4) -> OptimizeReport:
     """Conditional-gradient minimization of F over the cycle polytope.
 
     Starts from uniform weights over all enumerated cycles (always
@@ -315,7 +313,7 @@ def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
     if max_iters < 0 or extra_starts < 0:
         raise ValueError("max_iters and extra_starts must be nonnegative, "
                          f"got {max_iters} and {extra_starts}")
-    poly = polytope if polytope is not None else CyclePolytope(g, pi)
+    poly = CyclePolytope(g, pi)
     m = poly.m
     starts = [np.full(m, 1.0 / m)]
     stream = RandomStream(seed)

@@ -15,7 +15,10 @@ level-vectorized relaxations.  Strong connectivity and Hamiltonian paths
 and cycles are found by plain depth-first search, independent of the
 package's transitive closure and cycle enumeration.  The first-order
 profile psi is solved from the fundamental matrix and held to its closed
-form over the hitting-time matrix.
+form over the hitting-time matrix.  The chained term H_{B,A} of two
+cycles, its arc-sum assembly ``h_cross`` and the mixed second derivative
+along two cycles are the per-entry oracles of a stacked Hessian; the
+package computes the one-cycle case only.
 """
 
 import heapq
@@ -25,7 +28,7 @@ import numpy as np
 import pytest
 
 from fastchain._serialize import WHOLE_BELOW, _escape, _render_floats
-from fastchain.derivatives import _rounding_tol
+from fastchain.derivatives import _arc_sums, _check_chained, _rounding_tol, second_directional
 from fastchain.eigentime import HittingKernel, IdentityViolation, hitting_kernel
 from fastchain.generator import Generator, ProbabilityVector, _CycleArcs, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, enumerate_simple_cycles, segment_graph
@@ -195,6 +198,51 @@ def psi_solve(kern: HittingKernel, cycle: Cycle, y: int) -> np.ndarray:
 def _psi_closed_form(E: np.ndarray, arcs: _CycleArcs, y: int) -> np.ndarray:
     ((_, (a,), (a1,)),) = arcs.groups
     return (E[:, a] - E[y, a]) @ (E[a1, y] - E[a, y]) / len(a)
+
+
+def h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
+    """Chained second-order term H_{B,A}(L) for cycle directions.
+
+    Equals sum_y pi(y) pi[Psi_y] where Psi_y solves L Psi = L_B psi_y and
+    psi_y is the first-order profile for direction A.  Assembled from the
+    hitting-time and perturbation matrices, as the one-pair case of
+    ``derivatives._arc_sums``:
+
+        (1/(n_A n_B)) sum_{l,k} (h(b_k, a_{l+1}) - h(b_k, a_l))
+                                (phi_{a_l}(b_{k+1}) - phi_{a_l}(b_k)).
+    """
+    ((_, a, a1),) = _CycleArcs([cycle_a]).groups
+    ((_, b, b1),) = _CycleArcs([cycle_b]).groups
+    return float(_arc_sums(kern, a, a1, b, b1)[0])
+
+
+def mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray,
+                   rates_b: np.ndarray) -> np.ndarray:
+    """H_{B,A} = -sum_y pi(y) (Z L_B Z L_A E)[y, y], the two-direction form
+    of ``derivatives._mean_psi_cross``; the rates may be (m, n, n) stacks,
+    giving the m terms as an array."""
+    Z = kern.Z
+    chained = Z @ rates_b @ Z @ rates_a @ kern.E
+    diag = np.diagonal(chained, axis1=-2, axis2=-1)
+    return -(kern.pi.weights @ diag[..., None])[..., 0]
+
+
+def mixed_second_directional(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
+    """Second derivative of F along two cycle directions: the symmetric
+    bilinear Hessian at the pair of segment directions,
+    2 F - 2 H_A - 2 H_B + H_{A,B} + H_{B,A}, which is
+    ``derivatives.second_directional`` when the cycles coincide and matches
+    mixed central finite differences.  The chained terms come from
+    :func:`mean_psi_cross`, and H_{B,A} is compared against its assembly
+    :func:`h_cross` within ``derivatives._rounding_tol(kern, 3)``."""
+    if cycle_b == cycle_a:
+        return second_directional(kern, cycle_a)
+    rates = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
+    cross_ba, cross_ab = mean_psi_cross(kern, rates, rates[::-1]).tolist()
+    _check_chained(np.array([h_cross(kern, cycle_a, cycle_b)]), np.array([cross_ba]),
+                   _rounding_tol(kern, 3))
+    h_a, h_b = kern.h_cycle(cycle_a), kern.h_cycle(cycle_b)
+    return 2.0 * kern.f - 2.0 * h_a - 2.0 * h_b + cross_ab + cross_ba
 
 
 def f_reference(rates: np.ndarray, pi: ProbabilityVector) -> float:

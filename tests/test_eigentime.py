@@ -221,7 +221,7 @@ def return_time_identities(L: Generator, pi: ProbabilityVector, y: int) -> Retur
     return ReturnTimeReport(
         hitting_avg=hitting_avg,
         spectral_sum=s,
-        return_avg=hitting_avg + pi[y] * ret,
+        return_avg=hitting_avg + pi.weights[y] * ret,
         spectral_sum_plus_one=1.0 + s,
     )
 
@@ -280,6 +280,20 @@ def test_simulate_hitting_deterministic(uniform_cycle3):
     assert a == b
     c = simulate_hitting(uniform_cycle3, 0, 2, 2000, seed=10)
     assert c.mean != a.mean
+
+
+@pytest.mark.parametrize("x, y", [(-1, 0), (0, 3), (0, -1), (1.0, 2), (0, True)])
+def test_simulate_hitting_states_must_be_in_range(monkeypatch, uniform_cycle3, x, y):
+    """A target outside 0..2 is never hit, a negative start would read the
+    last state and a float or bool would be read as an int, so all raise
+    before the first draw.  The draw is patched to fail, so a simulation
+    that would never end fails here instead."""
+    def no_draw(self, n):
+        raise AssertionError("drew before checking the states")
+
+    monkeypatch.setattr(RandomStream, "uniform", no_draw)
+    with pytest.raises(ValueError):
+        simulate_hitting(uniform_cycle3, x, y, 5, 1)
 
 
 def _dense_rates(n, seed):

@@ -64,3 +64,49 @@ def test_every_public_name_is_used_outside_the_tests():
                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")
                            and f.name not in used]
     assert not unused, unused
+
+
+def defaulted_parameters() -> list:
+    """(callee name, parameter, position or None) of every defaulted
+    parameter of a function in a library module's ``__all__`` and of a
+    public method of a class in those lists; a method's positions count
+    after ``self`` or ``cls``, and a keyword-only parameter has none."""
+    out = []
+    for module in LIBRARY:
+        public = set(importlib.import_module(f"fastchain.{module}").__all__)
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        functions = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in public:
+                functions.append((node, 0))
+            elif isinstance(node, ast.ClassDef) and node.name in public:
+                functions += [(f, 0 if any(getattr(d, "id", None) == "staticmethod"
+                                          for d in f.decorator_list) else 1)
+                              for f in node.body
+                              if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+        for f, skip in functions:
+            positional = [*f.args.posonlyargs, *f.args.args][skip:]
+            defaulted = positional[len(positional) - len(f.args.defaults):]
+            out += [(f.name, a.arg, positional.index(a)) for a in defaulted]
+            out += [(f.name, a.arg, None)
+                    for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    """A defaulted parameter of the public surface that only the tests pass
+    is a knob the program never turns: it is passed, by keyword or by
+    position, by some call in the library (its package root aside), in
+    demos/ or in perfbench/, matched by the callee's name."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    passed = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+                passed |= {(callee, k.arg) for k in node.keywords if k.arg}
+                passed |= {(callee, k) for k in range(len(node.args))}
+    unset = [f"{name}.{arg}" for name, arg, pos in defaulted_parameters()
+             if (name, arg) not in passed and (name, pos) not in passed]
+    assert not unset, unset

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fastchain.graph as graph
 from fastchain.graph import (
     Cycle,
     CycleBudgetExceeded,
@@ -48,6 +49,19 @@ def test_cycle_canonical_rotation():
         Cycle([0, 1, 0])
 
 
+def test_cycle_ids_are_nonnegative_integers():
+    """int() would read True as 1 and 2.7 as 2, and a negative id would
+    index the last states of a matrix."""
+    g = Cycle([np.int64(2), np.int32(0)])
+    assert (g.vertices, [type(v) for v in g.vertices]) == ((0, 2), [int, int])
+    for vertices in ([True, 2], [0, 2.7], [np.float64(1.0), 0], [np.bool_(True), 0]):
+        with pytest.raises(ValueError, match="must be integers"):
+            Cycle(vertices)
+    for vertices in ([-1, 0], [2, 0, -3]):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            Cycle(vertices)
+
+
 def test_strong_connectivity():
     assert is_strongly_connected(DirectedGraph(3, [(0, 1), (1, 2), (2, 0)]))
     assert not is_strongly_connected(DirectedGraph(3, [(0, 1), (1, 2)]))
@@ -73,9 +87,10 @@ def test_enumerate_simple_cycles_directed_triangle():
     assert [c.vertices for c in enumerate_simple_cycles(tri)] == [(0, 1, 2)]
 
 
-def test_cycle_budget():
+def test_cycle_budget(monkeypatch):
+    monkeypatch.setattr(graph, "CYCLE_BUDGET", 50)
     with pytest.raises(CycleBudgetExceeded):
-        enumerate_simple_cycles(complete_graph(6), max_count=50)
+        enumerate_simple_cycles(complete_graph(6))
 
 
 def test_cycle_counts_complete_graphs():

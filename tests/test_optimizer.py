@@ -76,9 +76,8 @@ def test_frank_wolfe_converges_on_segment_graphs(segments):
     tol from every seed."""
     g = segment_graph(segments)
     pi = ProbabilityVector.uniform(g.n)
-    poly = CyclePolytope(g, pi)
     for seed in range(60):
-        report = frank_wolfe_minimize(g, pi, seed=seed, polytope=poly)
+        report = frank_wolfe_minimize(g, pi, seed=seed)
         assert report.converged and report.certificate.gap <= 1e-8, seed
 
 
