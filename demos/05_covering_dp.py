@@ -50,6 +50,6 @@ print("\ncontinuous value at unit budgets:", cont.start_value(0))
 # and distributing the total rate budget any other way only hurts: the
 # expected covering time is sum of 1/a_i over visits, minimized at all ones.
 tri = DirectedGraph(3, [(0, 1), (1, 2), (2, 0)])
-res = optimal_budget_search(tri, grid=12)
+res = optimal_budget_search(tri)
 print("best budgets on the 3-cycle:", np.round(res.best_budgets, 4),
       " value:", res.best_value)

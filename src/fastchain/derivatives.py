@@ -83,18 +83,20 @@ def _arc_sums(kern: HittingKernel, a, a1, b, b1) -> np.ndarray:
     return terms.sum(axis=(1, 2)) / (a.shape[2] * b.shape[1])
 
 
-def _mean_psi_cross(kern: HittingKernel, rates: np.ndarray) -> np.ndarray:
-    """H_{A,A} = sum_y pi(y) pi[Psi_y] straight from the fundamental matrix.
+def _mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray,
+                    rates_b: np.ndarray) -> np.ndarray:
+    """H_{B,A} = sum_y pi(y) pi[Psi_y] straight from the fundamental matrix.
 
     The mean-zero solutions are psi_y = -Z L_A phi_y and
-    Psi_y = Z L_A Z L_A phi_y; anchoring Psi_y at y and averaging it over pi
-    (pi Z = pi, pi L_A = 0) leaves -(Z L_A Z L_A E)[y, y].  The rates may be
-    an (m, n, n) stack, giving the m terms as an array: the broadcast
-    products and the strided diagonal give each slice the bits of its 2-D
-    product.
+    Psi_y = Z L_B Z L_A phi_y; anchoring Psi_y at y and averaging it over pi
+    (pi Z = pi, pi L_B = 0) leaves -(Z L_B Z L_A E)[y, y].  The rates may be
+    (m, n, n) stacks, giving the m terms as an array: the broadcast products
+    and the strided diagonal give each slice the bits of its 2-D product.
+    The package passes the same stack twice (H_{A,A}); the tests' mixed
+    second derivative passes two.
     """
     Z = kern.Z
-    chained = Z @ rates @ Z @ rates @ kern.E
+    chained = Z @ rates_b @ Z @ rates_a @ kern.E
     diag = np.diagonal(chained, axis1=-2, axis2=-1)
     return -(kern.pi.weights @ diag[..., None])[..., 0]
 
@@ -169,7 +171,7 @@ def derivative_reports(kern: HittingKernel, cycles,
         second = [None] * len(block)
         if with_second:
             rates = arcs.rates(p)
-            cross = _mean_psi_cross(kern, rates)
+            cross = _mean_psi_cross(kern, rates, rates)
             _check_chained(_self_cross(kern, arcs), cross, tol)
             second = (2.0 * f - 2.0 * h_a - 2.0 * h_a + cross + cross).tolist()
         reports += [DerivativeReport(f_value=f, h_cycle=h, first=f - h, second=s,

@@ -47,7 +47,7 @@ from .generator import (
     equilibrium_rate,
 )
 from .graph import DirectedGraph
-from .optimizer import CyclePolytope, frank_wolfe_minimize
+from .optimizer import CyclePolytope, _multistart
 from .rng import RandomStream
 
 __all__ = [
@@ -192,8 +192,10 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> We
     the conditional-gradient minimum of F, the value of
     :func:`~fastchain.optimizer.f_wedge`.
     """
-    report = frank_wolfe_minimize(g, pi, seed=seed, extra_starts=8)
     poly = CyclePolytope(g, pi)
+    # f_wedge's run (frank_wolfe_minimize's defaults, 8 extra starts), on
+    # the polytope and irreducibility memo the pattern search reuses
+    report = _multistart(poly, tol=1e-8, max_iters=10_000, seed=seed, extra_starts=8)
 
     def discrete_objective(w: np.ndarray) -> float:
         return float((-np.diag(poly.rates(w))).max()) * poly.f_values([w])[0]

@@ -52,6 +52,9 @@ __all__ = [
 ]
 
 MAX_BITS = 20
+# steps of n / BUDGET_GRID in the budget search's coarse scan; at least
+# the n <= 6 it allows, so every scan has points with all entries positive
+BUDGET_GRID = 12
 
 
 class StateSpaceTooLarge(RuntimeError):
@@ -251,7 +254,7 @@ class BudgetSearchResult(Report):
     best_value: float
 
 
-def optimal_budget_search(g: DirectedGraph, grid: int = 12) -> BudgetSearchResult:
+def optimal_budget_search(g: DirectedGraph) -> BudgetSearchResult:
     """Minimize the expected time to cover the graph over rate budgets on
     the simplex sum a = n.
 
@@ -259,29 +262,26 @@ def optimal_budget_search(g: DirectedGraph, grid: int = 12) -> BudgetSearchResul
     too, and the value is averaged over the start vertices.  On a
     Hamiltonian graph it is at least sum_i 1/a_i >= n by AM-HM, with
     equality exactly at the all-ones budget, which the search recovers.
-    A coarse scan of the budgets with entries in multiples of n / grid
-    (``grid`` at least 4 and at least n, so that every entry can be
-    positive) is followed by pairwise coordinate descent.
+    A coarse scan of the budgets with entries in multiples of
+    n / ``BUDGET_GRID`` is followed by pairwise coordinate descent.
     """
     n = g.n
     if n > 6:
         raise StateSpaceTooLarge("budget search supported for n <= 6")
-    if grid < max(4, n):
-        raise ValueError(f"grid must be at least 4 and at least n={n}, got {grid}")
 
     def objective(a: np.ndarray) -> float:
         table = _solve_table(g, lambda i, size: 1.0 / a[i], terminal=1.0 / a)
         return table.mean_start_value()
 
     best_a, best_v = None, np.inf
-    for comp in itertools.combinations(range(grid - 1), n - 1):
-        a = np.diff([-1, *comp, grid - 1]) * (n / grid)
+    for comp in itertools.combinations(range(BUDGET_GRID - 1), n - 1):
+        a = np.diff([-1, *comp, BUDGET_GRID - 1]) * (n / BUDGET_GRID)
         v = objective(a)
         if v < best_v:
             best_v, best_a = v, a
 
     # pairwise transfer polish with shrinking step
-    step = float(n) / grid
+    step = float(n) / BUDGET_GRID
     a = best_a.copy()
     while step > 1e-4:
         improved = False

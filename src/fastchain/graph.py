@@ -271,7 +271,7 @@ def complete_graph(n: int) -> DirectedGraph:
     return DirectedGraph(n, [(i, j) for i in range(n) for j in range(n) if i != j])
 
 
-def segment_graph(length: int = 2) -> DirectedGraph:
+def segment_graph(length: int) -> DirectedGraph:
     """Bidirected path 0 - 1 - ... - length; the length-2 case is the smallest
     strongly connected graph with no Hamiltonian cycle."""
     edges = []

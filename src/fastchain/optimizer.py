@@ -313,7 +313,13 @@ def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
     if max_iters < 0 or extra_starts < 0:
         raise ValueError("max_iters and extra_starts must be nonnegative, "
                          f"got {max_iters} and {extra_starts}")
-    poly = CyclePolytope(g, pi)
+    return _multistart(CyclePolytope(g, pi), tol, max_iters, seed, extra_starts)
+
+
+def _multistart(poly: CyclePolytope, tol: float, max_iters: int, seed: int,
+                extra_starts: int) -> OptimizeReport:
+    """The runs of :func:`frank_wolfe_minimize` over a built polytope, which
+    ``discrete_time.compare_wedges`` shares with its pattern search."""
     m = poly.m
     starts = [np.full(m, 1.0 / m)]
     stream = RandomStream(seed)

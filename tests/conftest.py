@@ -28,7 +28,13 @@ import numpy as np
 import pytest
 
 from fastchain._serialize import WHOLE_BELOW, _escape, _render_floats
-from fastchain.derivatives import _arc_sums, _check_chained, _rounding_tol, second_directional
+from fastchain.derivatives import (
+    _arc_sums,
+    _check_chained,
+    _mean_psi_cross,
+    _rounding_tol,
+    second_directional,
+)
 from fastchain.eigentime import HittingKernel, IdentityViolation, hitting_kernel
 from fastchain.generator import Generator, ProbabilityVector, _CycleArcs, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, enumerate_simple_cycles, segment_graph
@@ -216,29 +222,18 @@ def h_cross(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
     return float(_arc_sums(kern, a, a1, b, b1)[0])
 
 
-def mean_psi_cross(kern: HittingKernel, rates_a: np.ndarray,
-                   rates_b: np.ndarray) -> np.ndarray:
-    """H_{B,A} = -sum_y pi(y) (Z L_B Z L_A E)[y, y], the two-direction form
-    of ``derivatives._mean_psi_cross``; the rates may be (m, n, n) stacks,
-    giving the m terms as an array."""
-    Z = kern.Z
-    chained = Z @ rates_b @ Z @ rates_a @ kern.E
-    diag = np.diagonal(chained, axis1=-2, axis2=-1)
-    return -(kern.pi.weights @ diag[..., None])[..., 0]
-
-
 def mixed_second_directional(kern: HittingKernel, cycle_a: Cycle, cycle_b: Cycle) -> float:
     """Second derivative of F along two cycle directions: the symmetric
     bilinear Hessian at the pair of segment directions,
     2 F - 2 H_A - 2 H_B + H_{A,B} + H_{B,A}, which is
     ``derivatives.second_directional`` when the cycles coincide and matches
     mixed central finite differences.  The chained terms come from
-    :func:`mean_psi_cross`, and H_{B,A} is compared against its assembly
+    ``derivatives._mean_psi_cross``, and H_{B,A} is compared against its assembly
     :func:`h_cross` within ``derivatives._rounding_tol(kern, 3)``."""
     if cycle_b == cycle_a:
         return second_directional(kern, cycle_a)
     rates = _CycleArcs([cycle_a, cycle_b]).rates(kern.pi.weights)
-    cross_ba, cross_ab = mean_psi_cross(kern, rates, rates[::-1]).tolist()
+    cross_ba, cross_ab = _mean_psi_cross(kern, rates, rates[::-1]).tolist()
     _check_chained(np.array([h_cross(kern, cycle_a, cycle_b)]), np.array([cross_ba]),
                    _rounding_tol(kern, 3))
     h_a, h_b = kern.h_cycle(cycle_a), kern.h_cycle(cycle_b)

@@ -202,7 +202,7 @@ def test_criterion_5_dp_optimality():
               DirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
               complete_graph(4),
               DirectedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])):
-        res = optimal_budget_search(g, grid=8)
+        res = optimal_budget_search(g)
         assert np.abs(res.best_budgets - 1.0).max() <= 1e-2
     _report("5 dp-optimality", started, 60.0)
 

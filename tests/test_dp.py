@@ -142,24 +142,12 @@ def test_state_space_cap():
 
 
 def test_budget_search_all_ones():
-    res = optimal_budget_search(triangle(), grid=12)
+    res = optimal_budget_search(triangle())
     assert np.abs(res.best_budgets - 1.0).max() <= 1e-2
-    res = optimal_budget_search(DirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
-                                grid=8)
+    res = optimal_budget_search(DirectedGraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
     assert np.abs(res.best_budgets - 1.0).max() <= 1e-2
-    res = optimal_budget_search(DirectedGraph(2, [(0, 1), (1, 0)]), grid=8)
+    res = optimal_budget_search(DirectedGraph(2, [(0, 1), (1, 0)]))
     assert_allclose(res.best_budgets, [1.0, 1.0], atol=1e-2)
-
-
-def test_budget_search_grid_must_cover_every_vertex():
-    """Below n grid steps no budget has all entries positive, so the scan
-    has no point to start the descent from."""
-    with pytest.raises(ValueError, match="grid must be at least 4 and at least n=5"):
-        optimal_budget_search(complete_graph(5), grid=4)
-    with pytest.raises(ValueError, match="grid must be at least 4"):
-        optimal_budget_search(triangle(), grid=3)
-    res = optimal_budget_search(complete_graph(5), grid=5)
-    assert_allclose(res.best_budgets, np.ones(5), atol=1e-2)
 
 
 def test_hamiltonian_bound_random_graphs():

@@ -66,10 +66,23 @@ def test_every_public_name_is_used_outside_the_tests():
     assert not unused, unused
 
 
+def literal(node):
+    """The value of a literal expression node, or ``node`` itself, which
+    equals no other value."""
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return node
+
+
+def same(a, b) -> bool:
+    return type(a) is type(b) and a == b
+
+
 def defaulted_parameters() -> list:
-    """(callee name, parameter, position or None) of every defaulted
-    parameter of a function in a library module's ``__all__`` and of a
-    public method of a class in those lists; a method's positions count
+    """(callee name, parameter, position or None, default) of every
+    defaulted parameter of a function in a library module's ``__all__`` and
+    of a public method of a class in those lists; a method's positions count
     after ``self`` or ``cls``, and a keyword-only parameter has none."""
     out = []
     for module in LIBRARY:
@@ -87,26 +100,29 @@ def defaulted_parameters() -> list:
         for f, skip in functions:
             positional = [*f.args.posonlyargs, *f.args.args][skip:]
             defaulted = positional[len(positional) - len(f.args.defaults):]
-            out += [(f.name, a.arg, positional.index(a)) for a in defaulted]
-            out += [(f.name, a.arg, None)
+            out += [(f.name, a.arg, positional.index(a), literal(d))
+                    for a, d in zip(defaulted, f.args.defaults)]
+            out += [(f.name, a.arg, None, literal(d))
                     for a, d in zip(f.args.kwonlyargs, f.args.kw_defaults) if d is not None]
     return out
 
 
 def test_every_defaulted_parameter_is_passed_outside_the_tests():
-    """A defaulted parameter of the public surface that only the tests pass
-    is a knob the program never turns: it is passed, by keyword or by
-    position, by some call in the library (its package root aside), in
-    demos/ or in perfbench/, matched by the callee's name."""
+    """A defaulted parameter of the public surface that only the tests set
+    is a knob the program never turns: some call in the library (its
+    package root aside), in demos/ or in perfbench/, matched by the callee's
+    name, passes it, by keyword or by position, a value other than its
+    default written as a literal."""
     files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
     files += [*(ROOT / "demos").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    passed = set()
+    passed = []
     for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 callee = getattr(node.func, "id", getattr(node.func, "attr", None))
-                passed |= {(callee, k.arg) for k in node.keywords if k.arg}
-                passed |= {(callee, k) for k in range(len(node.args))}
-    unset = [f"{name}.{arg}" for name, arg, pos in defaulted_parameters()
-             if (name, arg) not in passed and (name, pos) not in passed]
+                passed += [(callee, k.arg, literal(k.value)) for k in node.keywords if k.arg]
+                passed += [(callee, k, literal(a)) for k, a in enumerate(node.args)]
+    unset = [f"{name}.{arg}" for name, arg, pos, default in defaulted_parameters()
+             if not any(callee == name and key in (arg, pos) and not same(value, default)
+                        for callee, key, value in passed)]
     assert not unset, unset
