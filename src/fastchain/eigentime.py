@@ -95,11 +95,14 @@ class HittingReport(Report):
 
 
 def _fundamental(A: np.ndarray, p: np.ndarray) -> tuple:
-    """(Z, E) of A = Pi - L, one matrix or a stack of them: Z = A^{-1} and
-    E[x, y] = (Z[y, y] - Z[x, y]) / pi(y).  The one inverse behind every
-    hitting-time functional, in the kernel and in the cycle polytope."""
+    """(Z, E, F) of A = Pi - L, one matrix or a stack of them: Z = A^{-1},
+    E[x, y] = (Z[y, y] - Z[x, y]) / pi(y) and F = pi E pi (0-d for one
+    matrix), the one inverse behind every hitting-time functional.  F's
+    product ``p[None, None, :] @ E @ p[:, None]`` gives each matrix of a
+    stack the bits it has alone, which are those of ``p @ E @ p``."""
     Z = np.linalg.inv(A)
-    return Z, (Z.diagonal(axis1=-2, axis2=-1)[..., None, :] - Z) / p
+    E = (Z.diagonal(axis1=-2, axis2=-1)[..., None, :] - Z) / p
+    return Z, E, (p[None, None, :] @ E @ p[:, None]).reshape(E.shape[:-2])
 
 
 def _perturbation_kernel(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
@@ -172,13 +175,13 @@ def hitting_kernel(L: Generator, pi: ProbabilityVector) -> HittingKernel:
     _require_irreducible(L)
     _require_invariant(L, pi)
     p = pi.weights
-    Z, E = _fundamental(np.tile(p, (len(p), 1)) - L.rates, p)
+    Z, E, f = _fundamental(np.tile(p, (len(p), 1)) - L.rates, p)
     return HittingKernel(
         pi=pi,
         Z=Z,
         E=E,
         kemeny=E @ p,
-        f=float(p @ E @ p),
+        f=float(f),
         m_bound=float(E.max()),
     )
 

@@ -122,24 +122,21 @@ def spectrum_split(L_r: Generator, short_cycle: Cycle, r: float) -> tuple:
     """Check the eigenvalue split of a cycle-plus-trees generator.
 
     Returns (multiplicity, max_pairing_error): the number of eigenvalues of
-    -L_r within 1e-6 max(1, |r|) of r, and the worst match distance when
-    pairing the remaining nonzero eigenvalues against the pure cycle
-    spectrum 1 - exp(2 pi i k / n).
+    -L_r within 1e-6 max(1, |r|) of r left over after pairing the nonzero
+    ones, nearest first, with the pure cycle spectrum 1 - exp(2 pi i k / n),
+    and the worst match distance of that pairing.  Pairing comes first,
+    since r may be an eigenvalue of the cycle too.
     """
-    vals = spectrum(L_r).values
-    tol = 1e-6 * max(1.0, abs(r))
-    near_r = [z for z in vals if abs(z - r) <= tol]
-    others = [z for z in vals if abs(z - r) > tol]
+    rem = list(spectrum(L_r).values)
     m = len(short_cycle)
-    expected = [1.0 - np.exp(2j * np.pi * k / m) for k in range(1, m)]
     worst = 0.0
-    rem = list(others)
-    for z in expected:
+    for z in (1.0 - np.exp(2j * np.pi * k / m) for k in range(1, m)):
         dists = [abs(z - w) for w in rem]
         k = int(np.argmin(dists))
         worst = max(worst, dists[k])
         rem.pop(k)
-    return len(near_r), float(worst)
+    tol = 1e-6 * max(1.0, abs(r))
+    return sum(abs(z - r) <= tol for z in rem), float(worst)
 
 
 @dataclass(frozen=True)
@@ -204,13 +201,17 @@ def find_counterexample(g: DirectedGraph) -> CounterexampleReport:
 
     Raises
     ------
+    CycleBudgetExceeded
+        From the one enumeration of g's simple cycles, which gives both the
+        Hamiltonian (length n) and the shorter cycles.
     SearchExhausted
         When no grid point certifies; a probe failure, not a library error.
     """
-    hams = enumerate_hamiltonian_cycles(g)
+    cycles = enumerate_simple_cycles(g)
+    hams = [c for c in cycles if len(c) == g.n]
     if not hams:
         raise ValueError("graph has no Hamiltonian cycle; nothing to beat")
-    shorter = [c for c in enumerate_simple_cycles(g) if len(c) < g.n]
+    shorter = [c for c in cycles if len(c) < g.n]
     if not shorter:
         raise ValueError("graph is a Hamiltonian cycle; its polytope is a point")
     short_cycle = min(shorter, key=lambda c: (len(c), c.vertices))
@@ -317,7 +318,8 @@ def theorem2_probe(g: DirectedGraph, perturbation_size: float, trials: int,
     Each trial draws a measure within L1 distance ``perturbation_size`` of
     uniform, minimizes F over the polytope of g, and counts success when
     the minimizer matches some admissible Hamiltonian-cycle generator
-    entrywise within 1e-8.
+    entrywise within 1e-8.  It lists the Hamiltonian cycles first, so past
+    ``graph.CYCLE_BUDGET`` it raises ``CycleBudgetExceeded`` at 0 trials too.
     """
     if not 0 <= perturbation_size <= 0.05:
         raise ValueError("probe is meant for small perturbations (0 to 0.05), "

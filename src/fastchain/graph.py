@@ -217,34 +217,9 @@ def enumerate_simple_cycles(g: DirectedGraph) -> list:
 
 
 def enumerate_hamiltonian_cycles(g: DirectedGraph) -> list:
-    """All cycles visiting every vertex exactly once; empty if none exist."""
-    if not is_strongly_connected(g):
-        raise ValueError("graph must be strongly connected")
-    # root at 0: every Hamiltonian cycle contains the minimal vertex
-    n = g.n
-    if n == 1:
-        return []
-    succ = g.successor_lists()
-    path = [0]
-    visited = [False] * n
-    visited[0] = True
-    cycles = []
-
-    def extend(v):
-        if len(path) == n:
-            if (v, 0) in g.edges:
-                cycles.append(Cycle(path))
-            return
-        for w in succ[v]:
-            if not visited[w]:
-                visited[w] = True
-                path.append(w)
-                extend(w)
-                path.pop()
-                visited[w] = False
-
-    extend(0)
-    return cycles
+    """The cycles through every vertex: the simple cycles of length n, from
+    :func:`enumerate_simple_cycles` under its budget and with its errors."""
+    return [c for c in enumerate_simple_cycles(g) if len(c) == g.n]
 
 
 def hypercube_graph(dim: int) -> DirectedGraph:

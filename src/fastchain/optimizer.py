@@ -37,7 +37,8 @@ import numpy as np
 from ._serialize import Report
 from .eigentime import _fundamental, _perturbation_kernel, hitting_kernel
 from .generator import Generator, ProbabilityVector, _CycleArcs
-from .graph import DirectedGraph, _support_strongly_connected, enumerate_simple_cycles
+from .graph import (CycleBudgetExceeded, DirectedGraph, _support_strongly_connected,
+                    enumerate_simple_cycles)
 from .rng import RandomStream
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "OptimizeReport",
     "StationarityReport",
     "EpsilonNeighborhood",
-    "TooManyCycles",
     "CyclePolytope",
     "frank_wolfe_minimize",
     "brute_force_minimize",
@@ -57,10 +57,6 @@ __all__ = [
 WEIGHT_FLOOR = 1e-14
 PRESAMPLES = 33  # F is not unimodal on a segment; the presample picks the bracket
 BISECT_TOL = 1e-10
-
-
-class TooManyCycles(RuntimeError):
-    """Exhaustive grid search is infeasible for this many cycles."""
 
 
 @dataclass(frozen=True)
@@ -96,8 +92,10 @@ class CyclePolytope:
     there the rates are the ones that are right.
 
     F, h and the H_A vector of an irreducible mixture come from one inverse
-    of Pi - L (``eigentime._fundamental``); the cycles are grouped by length
-    once, here, so H_A is one gather and one row-wise mean per length.
+    of Pi - L (``eigentime._fundamental``), which also reads F, so F is
+    :func:`~fastchain.eigentime.hitting_kernel`'s bit for bit.  The cycles
+    are enumerated once, under ``graph.CYCLE_BUDGET``, and grouped by length
+    here, so H_A is one gather and one row-wise mean per length.
     """
 
     def __init__(self, g: DirectedGraph, pi: ProbabilityVector):
@@ -129,7 +127,7 @@ class CyclePolytope:
         ``ws[:, None, :] @ _flat``: it runs the row product's kernel on each
         row and gives its bits, where a plain ``ws @ _flat`` or ``einsum``
         rounds differently (the bitwise per-point test pins this).  F is
-        ``p[None, None, :] @ E @ p[:, None]`` for the same reason."""
+        the stack's readout from ``_fundamental``."""
         ws = np.asarray(ws, dtype=float)
         n = self.pi.n
         rates = (ws[:, None, :] @ self._flat).reshape(len(ws), n, n)
@@ -137,24 +135,16 @@ class CyclePolytope:
         keep = [k for k in range(len(ws)) if self._irreducible(positive[k])]
         out = np.full(len(ws), np.inf)
         if keep:
-            _, E = _fundamental(self._Pi - rates[keep], self.pi.weights)
-            out[keep] = self._f_of(E)
+            out[keep] = _fundamental(self._Pi - rates[keep], self.pi.weights)[2]
         return out
-
-    def _f_of(self, E: np.ndarray) -> np.ndarray:
-        """F = pi E pi of each matrix of a stack of hitting-time matrices,
-        as ``p[None, None, :] @ E @ p[:, None]`` (see :meth:`f_values`)."""
-        p = self.pi.weights
-        return (p[None, None, :] @ E @ p[:, None])[:, 0, 0]
 
     def f_and_h(self, w: np.ndarray) -> tuple:
         """F together with the vector of H_A over all enumerated cycles."""
         kernel = self._kernel(w)
         if kernel is None:
             return np.inf, None
-        E, h = kernel
-        p = self.pi.weights
-        return float(p @ E @ p), self._arcs.means(h)
+        f, h = kernel
+        return f, self._arcs.means(h)
 
     def slope_and_f(self, w: np.ndarray, d_rates: np.ndarray) -> tuple:
         """Derivative of F at the mixture ``w`` along the rate matrix
@@ -165,16 +155,16 @@ class CyclePolytope:
         kernel = self._kernel(w)
         if kernel is None:
             return np.inf, np.inf
-        E, h = kernel
-        return -float(self.pi.weights @ (d_rates * h).sum(axis=1)), float(self._f_of(E[None])[0])
+        f, h = kernel
+        return -float(self.pi.weights @ (d_rates * h).sum(axis=1)), f
 
     def _kernel(self, w: np.ndarray):
-        """(E, h) of the mixture, or None when its support is not irreducible."""
+        """(F, h) of the mixture, or None when its support is not irreducible."""
         rates = self.rates(w)
         if not self._irreducible(rates > 0):
             return None
-        Z, E = _fundamental(self._Pi - rates, self.pi.weights)
-        return E, _perturbation_kernel(Z, E)
+        Z, E, f = _fundamental(self._Pi - rates, self.pi.weights)
+        return float(f), _perturbation_kernel(Z, E)
 
     def _irreducible(self, positive: np.ndarray) -> bool:
         """Strong connectivity of the support ``rates > 0``, memoized on its bytes."""
@@ -397,15 +387,17 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
     """Grid scan of the weight simplex; oracle for the conditional-gradient path.
 
     Enumerates all compositions of ``grid_resolution`` over the cycles
-    (at most 6 cycles) and evaluates F on every irreducible grid point,
-    ``GRID_BLOCK`` points per stacked :meth:`CyclePolytope.f_values`.
+    and evaluates F on every irreducible grid point, ``GRID_BLOCK`` points
+    per stacked :meth:`CyclePolytope.f_values`.  More than 6 cycles, the
+    scan's own budget, raise :class:`CycleBudgetExceeded`, as enumeration
+    past ``graph.CYCLE_BUDGET`` does.
     """
     if grid_resolution < 10:
         raise ValueError("grid_resolution must be at least 10")
     poly = CyclePolytope(g, pi)
     m = poly.m
     if m > 6:
-        raise TooManyCycles(f"{m} cycles; grid search supports at most 6")
+        raise CycleBudgetExceeded(f"{m} cycles; grid search supports at most 6")
     top = grid_resolution + m - 1
     cuts = np.array([(-1, *c, top) for c in itertools.combinations(range(top), m - 1)])
     grid = (np.diff(cuts) - 1) / grid_resolution

@@ -10,6 +10,7 @@ import pytest
 import fastchain.cli
 import fastchain.derivatives
 import fastchain.discrete_time
+import fastchain.graph
 from fastchain.cli import main
 from fastchain.discrete_time import to_kernel
 from fastchain.generator import Generator
@@ -279,6 +280,35 @@ def test_optimize_over_the_cycle_budget_exits_4(tmp_path, capsys):
     code, out, err = run_cli(["optimize", "--graph", gpath, "--pi", ppath,
                               "--output", str(target)], capsys)
     assert (code, out, err) == (4, "", "error: more than 100000 simple cycles\n")
+    assert not target.exists()
+
+
+K6 = complete_graph(6).to_json()
+UNIFORM6 = [1 / 6] * 6
+BUDGET_CASES = {
+    "optimize": (["optimize"], {"--graph": K6, "--pi": UNIFORM6}),
+    "discrete-compare": (["discrete", "--compare"], {"--graph": K6, "--pi": UNIFORM6}),
+    "counterexample": (["counterexample"], {"--graph": K6}),
+    "probe-theorem2": (["probe-theorem2", "--trials", "0"], {"--graph": K6}),
+    "eval-derivatives": (["eval", "--derivatives"], {"--generator": {"n": 6, "rates": [
+        [-1.0 if i == j else 0.2 for j in range(6)] for i in range(6)]}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_CASES))
+def test_every_command_that_reads_cycles_stops_at_the_one_budget(tmp_path, capsys, monkeypatch,
+                                                                  name):
+    """K6 has 409 simple cycles, 120 of them Hamiltonian: with the budget at
+    50 every subcommand that enumerates cycles exits 4 with the
+    enumeration's one error line, and writes neither stdout nor --output.
+    ``probe-theorem2 --trials 0`` lists the Hamiltonian cycles only; it used
+    to list them by a search of its own, outside the budget, and exit 0."""
+    monkeypatch.setattr(fastchain.graph, "CYCLE_BUDGET", 50)
+    argv = write_inputs(tmp_path, *BUDGET_CASES[name])
+    error = (4, "", "error: more than 50 simple cycles\n")
+    assert run_cli(argv, capsys) == error
+    target = tmp_path / "out.json"
+    assert run_cli(argv + ["--output", str(target)], capsys) == error
     assert not target.exists()
 
 

@@ -65,6 +65,17 @@ def test_spectrum_split_multiplicity():
     assert err <= 1e-6
 
 
+def test_spectrum_split_when_r_is_an_eigenvalue_of_the_cycle():
+    """The 4-cycle's spectrum 1 - i^k holds 2, so at r = 2 the leaf's
+    eigenvalue is a second copy of it: the pairing takes the cycle's copy
+    and the multiplicity counts the leaf's alone."""
+    g = DirectedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 0)])
+    L = build_cycle_tree_generator(g, Cycle([0, 1, 2, 3]), [(4, 0)], 2.0)
+    mult, err = spectrum_split(L, Cycle([0, 1, 2, 3]), 2.0)
+    assert mult == 1
+    assert err <= 1e-6
+
+
 def test_find_counterexample_triangle_leaf():
     report = find_counterexample(triangle_leaf_graph())
     assert report.margin > 0

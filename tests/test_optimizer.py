@@ -8,12 +8,18 @@ from fastchain import optimizer
 from fastchain.eigentime import hitting_kernel, inverse_speed
 from fastchain.experiments import triangle_leaf_graph
 from fastchain.generator import Generator, ProbabilityVector, cycle_generator
-from fastchain.graph import Cycle, DirectedGraph, _support_strongly_connected, complete_graph, segment_graph
+from fastchain.graph import (
+    Cycle,
+    CycleBudgetExceeded,
+    DirectedGraph,
+    _support_strongly_connected,
+    complete_graph,
+    segment_graph,
+)
 from fastchain.optimizer import (
     BISECT_TOL,
     PRESAMPLES,
     CyclePolytope,
-    TooManyCycles,
     _line_search,
     _zeroin,
     brute_force_minimize,
@@ -137,7 +143,7 @@ def test_brute_force_blocks_pick_the_per_point_minimizer(monkeypatch):
 
 
 def test_brute_force_cycle_cap():
-    with pytest.raises(TooManyCycles):
+    with pytest.raises(CycleBudgetExceeded):
         brute_force_minimize(complete_graph(4), ProbabilityVector.uniform(4), 10)
 
 
@@ -309,7 +315,8 @@ def test_polytope_evaluations_are_bitwise_the_per_point_route(name, seed):
     verdict equal the plain per-point route exactly (==, no tolerance, the
     same LinAlgError where it raises) along line-search segments: toward a
     vertex (reducible unless Hamiltonian) and pairwise, from points with zero
-    weights and with a subnormal weight whose terms may underflow."""
+    weights and with a subnormal weight whose terms may underflow.  Each
+    finite F is also the F of the mixture's own kernel, bit for bit."""
     g = POLYTOPE_GRAPHS[name]
     stream = RandomStream(seed)
     poly = CyclePolytope(g, random_pi(stream.spawn(0), g.n, spread=0.9))
@@ -330,10 +337,12 @@ def test_polytope_evaluations_are_bitwise_the_per_point_route(name, seed):
         stacked = _outcome(poly.f_values, ws)
         assert stacked == "singular" if "singular" in expect else stacked.tolist() == expect
         assert [_outcome(lambda x: poly.f_values([x])[0], x) for x in ws] == expect
-        for x in ws:
+        for x, f in zip(ws, expect):
             rates = np.tensordot(x, mats, axes=1)
             assert np.array_equal(poly.rates(x), rates)
             assert irreducible(poly, x) == closure_oracle(rates)
+            if f not in ("singular", np.inf):
+                assert hitting_kernel(Generator(poly.rates(x)), poly.pi).f == f
 
 
 @pytest.mark.parametrize("tiny_first", [False, True])
