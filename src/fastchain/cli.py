@@ -165,10 +165,12 @@ def _cmd_discrete(args) -> tuple:
             raise InputError("--compare reads --graph, not --kernel")
         g = _load(args.graph, DirectedGraph.from_json, "graph")
         pi = _load(args.pi, ProbabilityVector, "probability")
-        comp = compare_wedges(g, pi, seed=args.seed)
+        comp = compare_wedges(g, pi, seed=0 if args.seed is None else args.seed)
         return {**comp.to_json(), "checks": {"wedge_gap_nonnegative": comp.gap}}, 0
     if not args.kernel:
         raise InputError("discrete needs --kernel (or --compare with --graph)")
+    if args.graph is not None or args.seed is not None:
+        raise InputError("--kernel reads neither --graph nor --seed; they need --compare")
     K = _load(args.kernel, Kernel.from_json, "kernel")
     pi = _load(args.pi, ProbabilityVector, "probability")
     kern = hitting_kernel(K.clock, pi)  # to_generator reads the same clock
@@ -308,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--graph", default=None)
     q.add_argument("--kernel", default=None)
     q.add_argument("--pi", required=True)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=int, default=None)  # --compare only; 0 when not given
     q.set_defaults(func=_cmd_discrete)
 
     q = sub.add_parser("counterexample", help="search for a measure beating all Hamiltonian generators")

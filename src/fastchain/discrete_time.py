@@ -212,7 +212,7 @@ def compare_wedges(g: DirectedGraph, pi: ProbabilityVector, seed: int = 0) -> We
     )
 
 
-def _pattern_search(fun, m: int, seed: int = 0, warm_starts=()) -> tuple:
+def _pattern_search(fun, m: int, seed: int, warm_starts) -> tuple:
     """Deterministic multi-start pairwise-transfer descent on the simplex,
     from the warm starts, the uniform point and two random points."""
     stream = RandomStream(seed)

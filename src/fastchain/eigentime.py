@@ -94,13 +94,15 @@ class HittingReport(Report):
     h_matrix: np.ndarray
 
 
-def _fundamental(A: np.ndarray, p: np.ndarray) -> tuple:
-    """(Z, E, F) of A = Pi - L, one matrix or a stack of them: Z = A^{-1},
-    E[x, y] = (Z[y, y] - Z[x, y]) / pi(y) and F = pi E pi (0-d for one
-    matrix), the one inverse behind every hitting-time functional.  F's
+def _fundamental(rates: np.ndarray, p: np.ndarray) -> tuple:
+    """(Z, E, F) of the rates L, one matrix or a stack of them:
+    Z = (Pi - L)^{-1}, E[x, y] = (Z[y, y] - Z[x, y]) / pi(y) and F = pi E pi
+    (0-d for one matrix), the one inverse behind every hitting-time
+    functional.  Pi - L is formed here as ``p - rates``: every row of Pi is
+    pi, so the broadcast is the tiled subtraction element for element.  F's
     product ``p[None, None, :] @ E @ p[:, None]`` gives each matrix of a
     stack the bits it has alone, which are those of ``p @ E @ p``."""
-    Z = np.linalg.inv(A)
+    Z = np.linalg.inv(p - rates)
     E = (Z.diagonal(axis1=-2, axis2=-1)[..., None, :] - Z) / p
     return Z, E, (p[None, None, :] @ E @ p[:, None]).reshape(E.shape[:-2])
 
@@ -175,7 +177,7 @@ def hitting_kernel(L: Generator, pi: ProbabilityVector) -> HittingKernel:
     _require_irreducible(L)
     _require_invariant(L, pi)
     p = pi.weights
-    Z, E, f = _fundamental(np.tile(p, (len(p), 1)) - L.rates, p)
+    Z, E, f = _fundamental(L.rates, p)
     return HittingKernel(
         pi=pi,
         Z=Z,

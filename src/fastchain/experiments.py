@@ -246,47 +246,32 @@ def find_counterexample(g: DirectedGraph) -> CounterexampleReport:
 class SegmentReport(Report):
     generator: Generator
     f_min: float
-    branch: str
-    relabeled: bool
     weight_01: float
 
 
 def s2_closed_form(pi: ProbabilityVector) -> SegmentReport:
     """Exact minimizer of F on the bidirected 3-vertex segment 0 - 1 - 2.
 
-    Writing (x, y, z) for the measure after possibly swapping the endpoints
-    so that |x - 1/2| >= |z - 1/2| (reported via ``relabeled``), the
-    minimizer is the mixture p L_(0,1) + (1-p) L_(1,2) with
+    With (x, y, z) the measure, the minimizer is the mixture
+    p L_(0,1) + (1-p) L_(1,2) with
 
         p = sqrt(x(1-x)) / (sqrt(x(1-x)) + sqrt(z(1-z)))
 
-    and minimal value 2 (sqrt(x(1-x)) + sqrt(z(1-z)))^2; the balanced case
-    x = z degenerates to p = 1/2 with value 8 x (1-x).
+    and minimal value 2 (sqrt(x(1-x)) + sqrt(z(1-z)))^2.  The formula is
+    symmetric under swapping the endpoints, p <-> 1 - p, and the balanced
+    case x = z gives p = 1/2 and 8 x (1-x).
     """
     if pi.n != 3:
         raise NotLength3(f"need exactly 3 vertices, got {pi.n}")
     x, _, z = (float(v) for v in pi.weights)
-    relabeled = abs(x - 0.5) < abs(z - 0.5)
-    if relabeled:
-        x, z = z, x
     sx = sqrt(x * (1.0 - x))
     sz = sqrt(z * (1.0 - z))
-    if abs(abs(x - 0.5) - abs(z - 0.5)) < 1e-14:
-        branch = "degenerate"
-        p = 0.5
-        f_min = 8.0 * x * (1.0 - x)
-    else:
-        branch = "generic"
-        p = sx / (sx + sz)
-        f_min = 2.0 * (sx + sz) ** 2
-    weight_01 = 1.0 - p if relabeled else p
+    weight_01 = sx / (sx + sz)
     decomp = CycleDecomposition([(Cycle([0, 1]), weight_01),
                                  (Cycle([1, 2]), 1.0 - weight_01)])
     return SegmentReport(
         generator=combine(decomp, pi),
-        f_min=f_min,
-        branch=branch,
-        relabeled=relabeled,
+        f_min=2.0 * (sx + sz) ** 2,
         weight_01=weight_01,
     )
 

@@ -17,8 +17,8 @@ Brent's method, about 5 single inverses where bisection took about 30.
 Near the optimum a step gains less in F than F's rounding, while the slope
 is still resolved, so the search keeps closing the gap there.  An
 evaluation is kept to one product for the rates, one irreducibility verdict
-memoized per rate support, and one inverse of Pi - L with Pi built once per
-polytope.  That inverse, E and h come from the same helpers as
+memoized per rate support, and one inverse of Pi - L, formed by broadcasting
+pi against the rates.  That inverse, E and h come from the same helpers as
 :func:`~fastchain.eigentime.hitting_kernel`, and the H_A vector from one
 gather and one row-wise mean per cycle length.  F values give the same bits
 as the plain per-point route, and H_A the same bits as each cycle's own
@@ -83,12 +83,12 @@ class CyclePolytope:
     """Cycle-weight parametrization of the compatible normalized generators.
 
     Every F evaluation forms the mixture's rates by one product of the weight
-    vector with the flattened stack of cycle rates, and subtracts them
-    from the rank-one matrix Pi built once.  Off-diagonal rates are sums of
-    nonnegative terms, so whether a mixture is irreducible depends only on
-    which weights are positive.  The verdict is memoized per support of the
-    rate matrix rather than of the weights: the two agree except where a
-    positive weight is so small that w * rate rounds to 0 on some arc, and
+    vector with the flattened stack of cycle rates, which
+    ``eigentime._fundamental`` subtracts from Pi.  Off-diagonal rates are
+    sums of nonnegative terms, so whether a mixture is irreducible depends
+    only on which weights are positive.  The verdict is memoized per support
+    of the rate matrix rather than of the weights: the two agree except where
+    a positive weight is so small that w * rate rounds to 0 on some arc, and
     there the rates are the ones that are right.
 
     F, h and the H_A vector of an irreducible mixture come from one inverse
@@ -108,7 +108,6 @@ class CyclePolytope:
         n = pi.n
         self._arcs = _CycleArcs(self.cycles)
         self._flat = self._arcs.rates(pi.weights).reshape(self.m, n * n)
-        self._Pi = np.tile(pi.weights, (n, 1))
         self._connected = {}
 
     @property
@@ -135,7 +134,7 @@ class CyclePolytope:
         keep = [k for k in range(len(ws)) if self._irreducible(positive[k])]
         out = np.full(len(ws), np.inf)
         if keep:
-            out[keep] = _fundamental(self._Pi - rates[keep], self.pi.weights)[2]
+            out[keep] = _fundamental(rates[keep], self.pi.weights)[2]
         return out
 
     def f_and_h(self, w: np.ndarray) -> tuple:
@@ -163,7 +162,7 @@ class CyclePolytope:
         rates = self.rates(w)
         if not self._irreducible(rates > 0):
             return None
-        Z, E, f = _fundamental(self._Pi - rates, self.pi.weights)
+        Z, E, f = _fundamental(rates, self.pi.weights)
         return float(f), _perturbation_kernel(Z, E)
 
     def _irreducible(self, positive: np.ndarray) -> bool:
@@ -227,9 +226,8 @@ def _zeroin(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
         fb = f(b)
 
 
-def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
-                 hi: float) -> tuple:
-    """Exact line search of F(point(t)) on [lo, hi], on a root of its slope.
+def _line_search(poly: CyclePolytope, point, direction: np.ndarray, hi: float) -> tuple:
+    """Exact line search of F(point(t)) on [0, hi], on a root of its slope.
 
     ``point`` maps t to weights and broadcasts over a column of ts;
     ``direction`` is dw/dt.  F is analytic but not guaranteed unimodal along
@@ -245,7 +243,7 @@ def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
     If the slope does not change sign across the bracket, the presample
     minimum is returned as it stands.
     """
-    ts = np.linspace(lo, hi, PRESAMPLES)
+    ts = np.linspace(0.0, hi, PRESAMPLES)
     vals = poly.f_values(point(ts[:, None]))
     d_rates = poly.rates(direction)
     f_at = {}  # F at every t whose slope was taken, from the slope's inverse
@@ -264,8 +262,8 @@ def _line_search(poly: CyclePolytope, point, direction: np.ndarray, lo: float,
         fa = slope(a)
     else:
         fa = slope(a)
-        if k == 0 and fa >= 0:  # a is lo
-            return lo, float(vals[0])
+        if k == 0 and fa >= 0:  # a is 0
+            return 0.0, float(vals[0])
         fb = slope(b)
     if not fa <= 0 < fb:
         return float(ts[k]), float(vals[k])
@@ -342,7 +340,7 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
         def toward(t, w=w, e_s=e_s):
             return (1.0 - t) * w + t * e_s
 
-        t1, f1 = _line_search(poly, toward, e_s - w, 0.0, 1.0)
+        t1, f1 = _line_search(poly, toward, e_s - w, 1.0)
         cand = [(toward(t1), f1)] if t1 > 0 else []
 
         support = np.nonzero(w > WEIGHT_FLOOR)[0]
@@ -355,7 +353,7 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
                 def pairwise(t, w=w, e_s=e_s, e_a=e_a):
                     return np.maximum(w + t * (e_s - e_a), 0.0)
 
-                t2, f2 = _line_search(poly, pairwise, e_s - e_a, 0.0, float(w[a]))
+                t2, f2 = _line_search(poly, pairwise, e_s - e_a, float(w[a]))
                 if t2 > 0:
                     w2 = pairwise(t2)
                     cand.append((w2 / w2.sum(), f2))
@@ -419,13 +417,11 @@ def brute_force_minimize(g: DirectedGraph, pi: ProbabilityVector,
 @dataclass(frozen=True)
 class StationarityReport(Report):
     f: float
-    h_values: np.ndarray
-    below: np.ndarray
     max_gap: float
 
 
 def stationarity_check(L: Generator, pi: ProbabilityVector, cycles) -> StationarityReport:
-    """First-order optimality certificate at L.
+    """First-order optimality certificate at L: F(L) and ``max_gap``.
 
     At a minimizer, every cycle below L (all arcs carrying positive rate)
     has H_A = F, and every other cycle has H_A <= F; ``max_gap`` is the
@@ -437,12 +433,7 @@ def stationarity_check(L: Generator, pi: ProbabilityVector, cycles) -> Stationar
     # the indicator of positive rate has mean 1 exactly on the cycles below L
     below = arcs.means(L.rates > 1e-12) == 1.0
     gaps = np.where(below, np.abs(hvals - kern.f), np.maximum(hvals - kern.f, 0.0))
-    return StationarityReport(
-        f=kern.f,
-        h_values=hvals,
-        below=below,
-        max_gap=float(gaps.max()) if len(gaps) else 0.0,
-    )
+    return StationarityReport(f=kern.f, max_gap=float(gaps.max()) if len(gaps) else 0.0)
 
 
 @dataclass(frozen=True)

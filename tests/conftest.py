@@ -273,20 +273,18 @@ def f_value_oracle(poly, w: np.ndarray) -> float:
 
 
 def stationarity_oracle(L: Generator, pi: ProbabilityVector, cycles) -> tuple:
-    """(h_values, below, max_gap) of ``stationarity_check`` by a loop over the
-    cycles: each H_A is the cycle's own mean of h over its arcs, and each
-    below flag and gap is decided one cycle at a time."""
+    """(f, max_gap) of ``stationarity_check`` by a loop over the cycles: each
+    H_A is the cycle's own mean of h over its arcs, and whether the cycle is
+    below L, and so its gap, is decided one cycle at a time."""
     kern = hitting_kernel(L, pi)
     h, f = kern.h, kern.f
-    hvals, below, gaps = [], [], []
+    gaps = []
     for c in cycles:
         v = np.asarray(c.vertices)
         h_a = float(h[v, np.roll(v, -1)].mean())
         is_below = all(L.rates[a, b] > 1e-12 for a, b in c.arcs())
-        hvals.append(h_a)
-        below.append(is_below)
         gaps.append(abs(h_a - f) if is_below else max(0.0, h_a - f))
-    return np.array(hvals), np.array(below, dtype=bool), float(max(gaps)) if gaps else 0.0
+    return f, float(max(gaps)) if gaps else 0.0
 
 
 def random_ham_digraph(n: int, stream: RandomStream, extra: float = 0.25) -> DirectedGraph:

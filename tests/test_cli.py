@@ -699,12 +699,17 @@ def test_matrix_files_must_state_their_size(tmp_path, pi3_file, capsys, command,
     ["eval", "--second", "--generator", "{ham3}"],
     ["dp", "--mode", "discrete", "--budgets", "{budgets}", "--graph", "{k3}"],
     ["discrete", "--compare", "--kernel", "/nonexistent.json", "--graph", "{k3}", "--pi", "{pi3}"],
+    ["discrete", "--kernel", "{perm3}", "--pi", "{pi3}", "--graph", "{k3}"],
+    ["discrete", "--kernel", "{perm3}", "--pi", "{pi3}", "--seed", "0"],
 ])
 def test_options_that_would_do_nothing_exit_2(tmp_path, ham3_file, pi3_file, capsys, argv):
-    """--second without --derivatives, --budgets in discrete mode and
-    --kernel with --compare used to be ignored, and exit 0."""
+    """--second without --derivatives, --budgets in discrete mode, --kernel
+    with --compare, and --graph or --seed with --kernel (even --seed 0, the
+    seed --compare takes when none is given) used to be ignored, and exit 0."""
     paths = {"ham3": ham3_file, "pi3": pi3_file,
              "k3": write(tmp_path, "k3.json", complete_graph(3).to_json()),
+             "perm3": write(tmp_path, "perm3.json",
+                            {"n": 3, "rates": [[0, 1, 0], [0, 0, 1], [1, 0, 0]]}),
              "budgets": write(tmp_path, "b.json", [1.0, 1.0, 1.0])}
     assert_rejected([a.format(**paths) for a in argv], tmp_path, capsys)
 

@@ -23,6 +23,9 @@ from fastchain.graph import (
 )
 from fastchain.optimizer import brute_force_minimize, stationarity_check
 from fastchain.graph import enumerate_simple_cycles
+from fastchain.rng import RandomStream
+
+from conftest import random_pi
 
 
 def test_build_cycle_tree_generator_shape():
@@ -132,7 +135,6 @@ def test_find_counterexample_rejects_pure_cycle():
 
 def test_s2_closed_form_uniform(pi3):
     rep = s2_closed_form(pi3)
-    assert rep.branch == "degenerate"
     assert abs(rep.f_min - 16.0 / 9.0) <= 1e-15
     assert_allclose(rep.generator.rates[1], [0.75, -1.5, 0.75], atol=1e-15)
     assert abs(rep.weight_01 - 0.5) <= 1e-15
@@ -140,21 +142,17 @@ def test_s2_closed_form_uniform(pi3):
 
 def test_s2_closed_form_degenerate_nonuniform():
     rep = s2_closed_form(ProbabilityVector([0.4, 0.2, 0.4]))
-    assert rep.branch == "degenerate"
     assert abs(rep.f_min - 1.92) <= 1e-15
 
 
 def test_s2_closed_form_generic():
     rep = s2_closed_form(ProbabilityVector([0.2, 0.3, 0.5]))
-    assert rep.branch == "generic"
     assert abs(rep.f_min - 1.62) <= 1e-12
     assert abs(rep.weight_01 - 4.0 / 9.0) <= 1e-12
-    assert not rep.relabeled
 
 
 def test_s2_closed_form_relabeling():
     rep = s2_closed_form(ProbabilityVector([0.5, 0.3, 0.2]))
-    assert rep.relabeled
     assert abs(rep.f_min - 1.62) <= 1e-12
     assert abs(rep.weight_01 - 5.0 / 9.0) <= 1e-12
     pi = ProbabilityVector([0.5, 0.3, 0.2])
@@ -175,6 +173,28 @@ def test_s2_closed_form_is_stationary_and_matches_grid(pi3, s2):
         assert station.max_gap <= 1e-8
         bf = brute_force_minimize(s2, pi, 400)
         assert abs(bf.f_min - rep.f_min) <= 1e-4
+
+
+def test_s2_closed_form_is_mirror_symmetric_and_stationary(s2):
+    """Swapping the endpoints swaps the two cycle weights and keeps f_min:
+    one formula serves every measure, the balanced ones (x = z, one in
+    four here) included, and each minimizer passes the stationarity check
+    with the bounds of the grid test above."""
+    cycles = enumerate_simple_cycles(s2)
+    stream = RandomStream(300)
+    for k in range(400):
+        w = random_pi(stream.spawn(k), 3, spread=0.9).weights
+        if k % 4 == 0:
+            t = 0.5 * (w[0] + w[2])
+            w = np.array([t, 1.0 - 2.0 * t, t])
+        pi, mirror = ProbabilityVector(w), ProbabilityVector(w[::-1])
+        rep, rev = s2_closed_form(pi), s2_closed_form(mirror)
+        assert abs(rep.weight_01 + rev.weight_01 - 1.0) <= 4.4e-16
+        assert rep.f_min == rev.f_min
+        for r, p in ((rep, pi), (rev, mirror)):
+            station = stationarity_check(r.generator, p, cycles)
+            assert station.max_gap <= 1e-8
+            assert abs(station.f - r.f_min) <= 1e-10
 
 
 def test_s2_generic_degenerate_boundary():
