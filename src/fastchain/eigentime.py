@@ -108,12 +108,14 @@ def _fundamental(rates: np.ndarray, p: np.ndarray) -> tuple:
 
 
 def _perturbation_kernel(Z: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """h from Z and E: with W = Z E, h = -aux.T for the anchored solutions
-    aux[:, y] = W[y, y] - W[:, y] (see :class:`HittingKernel`).  Negating
-    aux, rather than subtracting the other way round, gives the same bits
-    off the diagonal and keeps the -0.0 diagonal that reports print."""
+    """h from Z and E, one matrix or a stack of them: with W = Z E,
+    h = -aux.T for the anchored solutions aux[:, y] = W[y, y] - W[:, y]
+    (see :class:`HittingKernel`).  Negating aux, rather than subtracting the
+    other way round, gives the same bits off the diagonal and keeps the -0.0
+    diagonal that reports print.  Each matrix of a stack gets the bits, and
+    the strides, it has alone."""
     W = Z @ E
-    return -(np.diag(W)[None, :] - W).T
+    return -(W.diagonal(axis1=-2, axis2=-1)[..., None, :] - W).swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,6 +68,9 @@ class ProbabilityVector:
             raise ValueError("probabilities must be finite and strictly positive")
         if abs(w.sum() - 1.0) > ROW_SUM_TOL:
             raise ValueError(f"probabilities must sum to 1, got {float(w.sum())!r}")
+        # the sum check lets one entry pass 1 by up to ROW_SUM_TOL
+        if len(w) > 1 and w.max() >= 1.0:
+            raise ValueError(f"each of several probabilities must be below 1, got {float(w.max())!r}")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 

@@ -10,20 +10,28 @@ chosen by exact line search, either toward the best vertex or pairwise from
 the worst supported vertex to the best, which lets iterates reach vertices
 and drop weights exactly.
 
-A line search brackets the minimum with 33 presamples of F, evaluated by
-:meth:`CyclePolytope.f_values` as one stacked inverse, and then closes the
-bracket on a root of the exact slope (:meth:`CyclePolytope.slope_and_f`) by
-Brent's method, about 5 single inverses where bisection took about 30.
+A line search brackets the minimum with 33 presamples of F and then closes
+the bracket on a root of the exact slope (:meth:`CyclePolytope._slope`) by
+Brent's method, about 5 slope evaluations where bisection took about 30.
 Near the optimum a step gains less in F than F's rounding, while the slope
-is still resolved, so the search keeps closing the gap there.  An
-evaluation is kept to one product for the rates, one irreducibility verdict
-memoized per rate support, and one inverse of Pi - L, formed by broadcasting
-pi against the rates.  That inverse, E and h come from the same helpers as
+is still resolved, so the search keeps closing the gap there.
+
+The starts of a multistart run in lockstep (:func:`_lockstep`).  The line
+search and the loop are generators: each asks for one thing at a time, a
+33-row presample or one point, and each round answers the requests of
+every active start from one stacked inverse of Pi - L and one stacked
+``Z @ E`` (:meth:`CyclePolytope._kernels`).  No point is inverted twice:
+the slope at a bracket end is read from the h of its presample row, and F
+and H_A of an accepted iterate from the inverse that priced it in the line
+search.  An evaluation is kept to one product for the rates, one
+irreducibility verdict memoized per rate support, and its share of the
+round's inverse, formed by broadcasting pi against the rates.  That
+inverse, E and h come from the same helpers as
 :func:`~fastchain.eigentime.hitting_kernel`, and the H_A vector from one
-gather and one row-wise mean per cycle length.  F values give the same bits
-as the plain per-point route, and H_A the same bits as each cycle's own
-mean (``HittingKernel.h_cycle``), so the path of the iteration, and every
-report, does not depend on these shortcuts.
+gather and one row-wise mean per cycle length.  Every row of a stack gets
+the bits it has alone, and H_A the same bits as each cycle's own mean
+(``HittingKernel.h_cycle``), so the path of each start, and every report,
+is what that start gives run alone on single inverses.
 """
 
 from __future__ import annotations
@@ -93,8 +101,12 @@ class CyclePolytope:
 
     F, h and the H_A vector of an irreducible mixture come from one inverse
     of Pi - L (``eigentime._fundamental``), which also reads F, so F is
-    :func:`~fastchain.eigentime.hitting_kernel`'s bit for bit.  The cycles
-    are enumerated once, under ``graph.CYCLE_BUDGET``, and grouped by length
+    :func:`~fastchain.eigentime.hitting_kernel`'s bit for bit.  The
+    optimizer prices the requests of a round of its lockstep starts, up to
+    33 (extra_starts + 1) rows of m weights, in one :meth:`_kernels` call:
+    one stacked inverse and one stacked ``Z @ E``, with an n x n rate
+    matrix, Z, E and h kept per row for the round.  The cycles are
+    enumerated once, under ``graph.CYCLE_BUDGET``, and grouped by length
     here, so H_A is one gather and one row-wise mean per length.
     """
 
@@ -127,43 +139,48 @@ class CyclePolytope:
         row and gives its bits, where a plain ``ws @ _flat`` or ``einsum``
         rounds differently (the bitwise per-point test pins this).  F is
         the stack's readout from ``_fundamental``."""
+        return self._invert(ws)[0]
+
+    def f_and_h(self, w: np.ndarray) -> tuple:
+        """F together with the vector of H_A over all enumerated cycles."""
+        f, (h,) = self._kernels([w])
+        if h is None:
+            return np.inf, None
+        return float(f[0]), self._arcs.means(h)
+
+    def _kernels(self, ws: np.ndarray) -> tuple:
+        """F of every row of ``ws`` and a list of their h, from the one
+        stacked inverse of :meth:`f_values` and one stacked ``Z @ E``; a
+        reducible row has F = +inf and h = None.  Each h is a view into the
+        stack, with the bits and strides of the row's own kernel."""
+        f, keep, Z, E = self._invert(ws)
+        hs = [None] * len(f)
+        if keep:
+            for k, h in zip(keep, _perturbation_kernel(Z, E)):
+                hs[k] = h
+        return f, hs
+
+    def _invert(self, ws: np.ndarray) -> tuple:
+        """(F of every row, the irreducible rows, Z and E of those rows)."""
         ws = np.asarray(ws, dtype=float)
         n = self.pi.n
         rates = (ws[:, None, :] @ self._flat).reshape(len(ws), n, n)
         positive = rates > 0
         keep = [k for k in range(len(ws)) if self._irreducible(positive[k])]
-        out = np.full(len(ws), np.inf)
-        if keep:
-            out[keep] = _fundamental(rates[keep], self.pi.weights)[2]
-        return out
+        f = np.full(len(ws), np.inf)
+        if not keep:
+            return f, keep, None, None
+        Z, E, f[keep] = _fundamental(rates[keep], self.pi.weights)
+        return f, keep, Z, E
 
-    def f_and_h(self, w: np.ndarray) -> tuple:
-        """F together with the vector of H_A over all enumerated cycles."""
-        kernel = self._kernel(w)
-        if kernel is None:
-            return np.inf, None
-        f, h = kernel
-        return f, self._arcs.means(h)
-
-    def slope_and_f(self, w: np.ndarray, d_rates: np.ndarray) -> tuple:
-        """Derivative of F at the mixture ``w`` along the rate matrix
-        ``d_rates``, -sum_{x,y} pi(x) D(x, y) h(x, y), together with F at
-        ``w`` from the same inverse, in the bits of :meth:`f_values`;
-        (inf, inf) when the support is not irreducible.  The diagonal of h
-        is zero, so for D = L_A - L the slope is the paper's F - H_A."""
-        kernel = self._kernel(w)
-        if kernel is None:
-            return np.inf, np.inf
-        f, h = kernel
-        return -float(self.pi.weights @ (d_rates * h).sum(axis=1)), f
-
-    def _kernel(self, w: np.ndarray):
-        """(F, h) of the mixture, or None when its support is not irreducible."""
-        rates = self.rates(w)
-        if not self._irreducible(rates > 0):
-            return None
-        Z, E, f = _fundamental(rates, self.pi.weights)
-        return float(f), _perturbation_kernel(Z, E)
+    def _slope(self, d_rates: np.ndarray, h) -> float:
+        """Derivative of F along the rate matrix ``d_rates`` at the mixture
+        whose h is given, -sum_{x,y} pi(x) D(x, y) h(x, y); +inf for a
+        reducible mixture (h None).  The diagonal of h is zero, so for
+        D = L_A - L the slope is the paper's F - H_A."""
+        if h is None:
+            return np.inf
+        return -float(self.pi.weights @ (d_rates * h).sum(axis=1))
 
     def _irreducible(self, positive: np.ndarray) -> bool:
         """Strong connectivity of the support ``rates > 0``, memoized on its bytes."""
@@ -174,9 +191,10 @@ class CyclePolytope:
         return verdict
 
 
-def _zeroin(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
-    """A root of ``f`` in [a, b] by Brent's method (zeroin), given
-    ``fa = f(a) <= 0 < fb = f(b)``.
+def _zeroin(a: float, fa: float, b: float, fb: float, tol: float):
+    """A root of f in [a, b] by Brent's method (zeroin), given
+    ``fa = f(a) <= 0 < fb = f(b)``.  A generator: it yields each point t at
+    which it needs f, is sent f(t), and returns the root.
 
     Each step takes inverse quadratic interpolation through the last three
     points, or the secant through two, when that step stays well inside the
@@ -223,52 +241,56 @@ def _zeroin(f, a: float, fa: float, b: float, fb: float, tol: float) -> float:
             d = e = xm
         a, fa = b, fb
         b += d if abs(d) > tol1 else copysign(tol1, xm)
-        fb = f(b)
+        fb = yield b
 
 
-def _line_search(poly: CyclePolytope, point, direction: np.ndarray, hi: float) -> tuple:
+def _line_search(poly: CyclePolytope, point, direction: np.ndarray, hi: float):
     """Exact line search of F(point(t)) on [0, hi], on a root of its slope.
 
-    ``point`` maps t to weights and broadcasts over a column of ts;
-    ``direction`` is dw/dt.  F is analytic but not guaranteed unimodal along
-    segments, so a dense presample, evaluated in one ``f_values`` call, picks
-    the bracket first.  If its minimum is at an endpoint and the slope there
-    points out of the segment, that exact endpoint is returned: a step lands
-    on a vertex exactly when the slope stays negative to the end of the
-    segment.  Otherwise the presample intervals next to the minimum bracket
-    a root of the exact slope (:meth:`CyclePolytope.slope_and_f`), which
-    :func:`_zeroin` closes to width ``BISECT_TOL``, and F at that root is
-    read from the inverse its slope was taken from.  The slope is resolved
-    to about eps M(L) also where differences of F are lost in F's rounding.
-    If the slope does not change sign across the bracket, the presample
-    minimum is returned as it stands.
+    A generator in the request protocol of :func:`_lockstep`: it yields the
+    33 presample rows, then one point per root-finder step, and returns
+    (t, F, h) at the t it settles on, F and h from the inverse that priced
+    that point.  ``point`` maps t to weights and broadcasts over a column of
+    ts; ``direction`` is dw/dt.  F is analytic but not guaranteed unimodal
+    along segments, so a dense presample picks the bracket first.  If its
+    minimum is at an endpoint and the slope there points out of the
+    segment, that exact endpoint is returned: a step lands on a vertex
+    exactly when the slope stays negative to the end of the segment.
+    Otherwise the presample intervals next to the minimum bracket a root of
+    the exact slope (:meth:`CyclePolytope._slope`), which :func:`_zeroin`
+    closes to width ``BISECT_TOL``.  The slope at a bracket end is read
+    from the h of its presample row, so no point is inverted twice.  The
+    slope is resolved to about eps M(L) also where differences of F are lost
+    in F's rounding.  If the slope does not change sign across the bracket,
+    the presample minimum is returned as it stands.
     """
     ts = np.linspace(0.0, hi, PRESAMPLES)
-    vals = poly.f_values(point(ts[:, None]))
+    vals, hs = yield point(ts[:, None])
     d_rates = poly.rates(direction)
-    f_at = {}  # F at every t whose slope was taken, from the slope's inverse
-
-    def slope(t):
-        value, f_at[t] = poly.slope_and_f(point(t), d_rates)
-        return value
-
     k = int(np.argmin(vals))
-    a = float(ts[max(k - 1, 0)])
-    b = float(ts[min(k + 1, PRESAMPLES - 1)])
+    ka, kb = max(k - 1, 0), min(k + 1, PRESAMPLES - 1)
+    a, b = float(ts[ka]), float(ts[kb])
+    priced = {a: (float(vals[ka]), hs[ka]), b: (float(vals[kb]), hs[kb])}
     if k == PRESAMPLES - 1:  # b is hi
-        fb = slope(b)
+        fb = poly._slope(d_rates, hs[kb])
         if fb <= 0:
-            return hi, float(vals[-1])
-        fa = slope(a)
+            return (hi, *priced[b])
+        fa = poly._slope(d_rates, hs[ka])
     else:
-        fa = slope(a)
+        fa = poly._slope(d_rates, hs[ka])
         if k == 0 and fa >= 0:  # a is 0
-            return 0.0, float(vals[0])
-        fb = slope(b)
+            return (0.0, *priced[a])
+        fb = poly._slope(d_rates, hs[kb])
     if not fa <= 0 < fb:
-        return float(ts[k]), float(vals[k])
-    t = _zeroin(slope, a, fa, b, fb, BISECT_TOL)
-    return t, f_at[t]
+        return float(ts[k]), float(vals[k]), hs[k]
+    steps, slope = _zeroin(a, fa, b, fb, BISECT_TOL), None
+    while True:
+        try:
+            t = steps.send(slope)
+        except StopIteration as root:
+            return (root.value, *priced[root.value])
+        priced[t] = yield point(t)
+        slope = poly._slope(d_rates, priced[t][1])
 
 
 def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
@@ -285,7 +307,9 @@ def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
     step moves (the slope at t = 0 is nonnegative on both segments), or after
     ``max_iters`` iterations; the returned report carries the full per-cycle
     certificate either way.  A step lands on a vertex exactly when the slope
-    stays negative to the end of its segment.
+    stays negative to the end of its segment.  The runs advance in lockstep,
+    one stacked inverse per round (:func:`_lockstep`); each run's path and
+    report are those it has alone.
 
     The gap is a first-order certificate only: non-minimizing stationary
     points satisfy it too (the uniform mixture on a vertex-transitive
@@ -307,7 +331,9 @@ def frank_wolfe_minimize(g: DirectedGraph, pi: ProbabilityVector,
 def _multistart(poly: CyclePolytope, tol: float, max_iters: int, seed: int,
                 extra_starts: int) -> OptimizeReport:
     """The runs of :func:`frank_wolfe_minimize` over a built polytope, which
-    ``discrete_time.compare_wedges`` shares with its pattern search."""
+    ``discrete_time.compare_wedges`` shares with its pattern search.  The
+    ``extra_starts + 1`` runs go through :func:`_lockstep` together, and the
+    first run with the least F is returned."""
     m = poly.m
     starts = [np.full(m, 1.0 / m)]
     stream = RandomStream(seed)
@@ -315,21 +341,57 @@ def _multistart(poly: CyclePolytope, tol: float, max_iters: int, seed: int,
         w = stream.spawn(k).simplex(m)
         w = 0.9 * w + 0.1 / m  # keep all cycles slightly active: irreducible start
         starts.append(w / w.sum())
-    best = None
-    for w0 in starts:
-        report = _frank_wolfe_single(poly, w0, tol, max_iters)
-        if best is None or report.f_min < best.f_min:
-            best = report
-    return best
+    runs = [_frank_wolfe_single(poly, w0, tol, max_iters) for w0 in starts]
+    return min(_lockstep(poly, runs), key=lambda report: report.f_min)
+
+
+def _lockstep(poly: CyclePolytope, runs: list) -> list:
+    """Drive generator ``runs`` in rounds and return what each returns.
+
+    A run yields one request at a time: a (33, m) presample or one point
+    (m,) of weights.  It is sent back the F and h of each row, an array and
+    a list for a presample, a float and one matrix for a point, with F =
+    +inf and h = None on a reducible row.  Each round stacks the requests of
+    every active run and answers them all from one
+    :meth:`CyclePolytope._kernels`: one ``inv`` and one ``Z @ E`` over at
+    most 33 (extra_starts + 1) rows, each of m weights and n x n matrices.
+    Numpy inverts and multiplies each matrix of a stack as it would alone,
+    and the irreducibility memo reads only a row's bytes, so every run
+    follows the path it takes alone, with one inverse per request.
+    """
+    results = [None] * len(runs)
+    requests = {k: next(run) for k, run in enumerate(runs)}
+    while requests:
+        f, hs = poly._kernels(np.vstack(list(requests.values())))
+        row = 0
+        for k, request in list(requests.items()):
+            if request.ndim == 1:
+                answer = float(f[row]), hs[row]
+                row += 1
+            else:
+                answer = f[row:row + len(request)], hs[row:row + len(request)]
+                row += len(request)
+            try:
+                requests[k] = runs[k].send(answer)
+            except StopIteration as done:
+                results[k] = done.value
+                del requests[k]
+    return results
 
 
 def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
-                        max_iters: int) -> OptimizeReport:
+                        max_iters: int):
+    """One conditional-gradient run from ``w0``, as a generator in the
+    request protocol of :func:`_lockstep` that returns its report.  F and
+    H_A of an accepted iterate come from the inverse that priced it in its
+    line search; only a pairwise step whose normalization ``w2 / w2.sum()``
+    changes its bytes asks for the new point again."""
     m = poly.m
     w = w0.copy()
-    f, hvals = poly.f_and_h(w)
-    if hvals is None:
+    f, h = yield w
+    if h is None:
         raise ValueError("starting point is not irreducible")
+    hvals = poly._arcs.means(h)
     iterations = 0
     while iterations < max_iters and hvals.max() - f > tol:
         iterations += 1
@@ -340,8 +402,8 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
         def toward(t, w=w, e_s=e_s):
             return (1.0 - t) * w + t * e_s
 
-        t1, f1 = _line_search(poly, toward, e_s - w, 1.0)
-        cand = [(toward(t1), f1)] if t1 > 0 else []
+        t1, f1, h1 = yield from _line_search(poly, toward, e_s - w, 1.0)
+        cand = [(toward(t1), f1, h1)] if t1 > 0 else []
 
         support = np.nonzero(w > WEIGHT_FLOOR)[0]
         if len(support) > 1:
@@ -353,15 +415,18 @@ def _frank_wolfe_single(poly: CyclePolytope, w0: np.ndarray, tol: float,
                 def pairwise(t, w=w, e_s=e_s, e_a=e_a):
                     return np.maximum(w + t * (e_s - e_a), 0.0)
 
-                t2, f2 = _line_search(poly, pairwise, e_s - e_a, float(w[a]))
+                t2, f2, h2 = yield from _line_search(poly, pairwise, e_s - e_a, float(w[a]))
                 if t2 > 0:
                     w2 = pairwise(t2)
-                    cand.append((w2 / w2.sum(), f2))
+                    x = w2 / w2.sum()
+                    cand.append((x, f2, h2 if x.tobytes() == w2.tobytes() else None))
 
         if not cand:
             break  # neither step moves; gap reported as is
-        w = min(cand, key=lambda c: c[1])[0]
-        f, hvals = poly.f_and_h(w)
+        w, f, h = min(cand, key=lambda c: c[1])
+        if h is None:  # normalizing moved the pairwise point: price it anew
+            f, h = yield w
+        hvals = poly._arcs.means(h)
 
     gap = float(hvals.max() - f)
     return OptimizeReport(

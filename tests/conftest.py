@@ -35,9 +35,23 @@ from fastchain.derivatives import (
     _rounding_tol,
     second_directional,
 )
-from fastchain.eigentime import HittingKernel, IdentityViolation, hitting_kernel
+from fastchain.eigentime import (
+    HittingKernel,
+    IdentityViolation,
+    _fundamental,
+    _perturbation_kernel,
+    hitting_kernel,
+)
 from fastchain.generator import Generator, ProbabilityVector, _CycleArcs, cycle_generator
 from fastchain.graph import Cycle, DirectedGraph, enumerate_simple_cycles, segment_graph
+from fastchain.optimizer import (
+    BISECT_TOL,
+    PRESAMPLES,
+    WEIGHT_FLOOR,
+    Certificate,
+    OptimizeReport,
+    _zeroin,
+)
 from fastchain.rng import RandomStream
 
 
@@ -270,6 +284,128 @@ def f_value_oracle(poly, w: np.ndarray) -> float:
     Z = np.linalg.inv(np.tile(p, (len(p), 1)) - rates)
     E = (np.diag(Z)[None, :] - Z) / p[None, :]
     return float(p @ E @ p)
+
+
+def drive(run, answer):
+    """Run a generator of the optimizer's request protocol alone, sending
+    back ``answer(request)`` for each request; returns what it returns."""
+    reply = None
+    while True:
+        try:
+            request = run.send(reply)
+        except StopIteration as done:
+            return done.value
+        reply = answer(request)
+
+
+def kernel_oracle(poly, w: np.ndarray):
+    """(F, h) of one mixture from its own inverse, or None when its support
+    is reducible: rates by the row product ``w @ _flat``, one 2-d
+    ``_fundamental`` and ``_perturbation_kernel``."""
+    rates = poly.rates(w)
+    if not poly._irreducible(rates > 0):
+        return None
+    Z, E, f = _fundamental(rates, poly.pi.weights)
+    return float(f), _perturbation_kernel(Z, E)
+
+
+def slope_and_f(poly, w: np.ndarray, d_rates: np.ndarray) -> tuple:
+    """The slope of F at ``w`` along ``d_rates`` and F there, from one
+    inverse of the mixture's own; (inf, inf) when it is reducible."""
+    kernel = kernel_oracle(poly, w)
+    if kernel is None:
+        return np.inf, np.inf
+    f, h = kernel
+    return -float(poly.pi.weights @ (d_rates * h).sum(axis=1)), f
+
+
+def _f_and_h_oracle(poly, w: np.ndarray) -> tuple:
+    kernel = kernel_oracle(poly, w)
+    return (np.inf, None) if kernel is None else (kernel[0], poly._arcs.means(kernel[1]))
+
+
+def _line_search_oracle(poly, point, direction, hi) -> tuple:
+    """The line search of one start on its own: the presample from one
+    ``f_values``, then one inverse per slope, the bracket ends included,
+    with F at the root read from the root's inverse."""
+    ts = np.linspace(0.0, hi, PRESAMPLES)
+    vals = poly.f_values(point(ts[:, None]))
+    d_rates = poly.rates(direction)
+    f_at = {}
+
+    def slope(t):
+        value, f_at[t] = slope_and_f(poly, point(t), d_rates)
+        return value
+
+    k = int(np.argmin(vals))
+    a = float(ts[max(k - 1, 0)])
+    b = float(ts[min(k + 1, PRESAMPLES - 1)])
+    if k == PRESAMPLES - 1:
+        fb = slope(b)
+        if fb <= 0:
+            return hi, float(vals[-1])
+        fa = slope(a)
+    else:
+        fa = slope(a)
+        if k == 0 and fa >= 0:
+            return 0.0, float(vals[0])
+        fb = slope(b)
+    if not fa <= 0 < fb:
+        return float(ts[k]), float(vals[k])
+    t = drive(_zeroin(a, fa, b, fb, BISECT_TOL), slope)
+    return t, f_at[t]
+
+
+def _frank_wolfe_oracle(poly, w0: np.ndarray, tol: float, max_iters: int) -> OptimizeReport:
+    """One start alone: F and H_A of every iterate from an inverse of its
+    own, taken after the step is chosen."""
+    m = poly.m
+    w = w0.copy()
+    f, hvals = _f_and_h_oracle(poly, w)
+    iterations = 0
+    while iterations < max_iters and hvals.max() - f > tol:
+        iterations += 1
+        s = int(np.argmax(hvals))
+        e_s = np.eye(m)[s]
+
+        def toward(t, w=w, e_s=e_s):
+            return (1.0 - t) * w + t * e_s
+
+        t1, f1 = _line_search_oracle(poly, toward, e_s - w, 1.0)
+        cand = [(toward(t1), f1)] if t1 > 0 else []
+        support = np.nonzero(w > WEIGHT_FLOOR)[0]
+        if len(support) > 1:
+            a = int(support[np.argmin(hvals[support])])
+            if a != s:
+                e_a = np.eye(m)[a]
+
+                def pairwise(t, w=w, e_s=e_s, e_a=e_a):
+                    return np.maximum(w + t * (e_s - e_a), 0.0)
+
+                t2, f2 = _line_search_oracle(poly, pairwise, e_s - e_a, float(w[a]))
+                if t2 > 0:
+                    w2 = pairwise(t2)
+                    cand.append((w2 / w2.sum(), f2))
+        if not cand:
+            break
+        w = min(cand, key=lambda c: c[1])[0]
+        f, hvals = _f_and_h_oracle(poly, w)
+    gap = float(hvals.max() - f)
+    return OptimizeReport(cycles=poly.cycles, weights=w, minimizer=Generator(poly.rates(w)),
+                          f_min=f, certificate=Certificate(h_values=hvals, gap=gap),
+                          iterations=iterations, converged=gap <= tol)
+
+
+def multistart_oracle(poly, tol: float, max_iters: int, seed: int, extra_starts: int) -> list:
+    """The report of every start of ``optimizer._multistart``, each run to
+    its end before the next begins, on single inverses of its own: the
+    sequential route the lockstep rounds replaced."""
+    m = poly.m
+    starts = [np.full(m, 1.0 / m)]
+    for k in range(extra_starts):
+        w = 0.9 * RandomStream(seed).spawn(k).simplex(m) + 0.1 / m
+        starts.append(w / w.sum())
+    return [_frank_wolfe_oracle(poly, w0, tol, max_iters) for w0 in starts]
 
 
 def stationarity_oracle(L: Generator, pi: ProbabilityVector, cycles) -> tuple:

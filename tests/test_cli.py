@@ -594,6 +594,15 @@ def test_bad_input_file_message(tmp_path, pi3_file, capsys, kind, command, obj, 
     assert (code, out, err) == (2, "", f"error: bad {kind} file {path}: {detail}\n")
 
 
+def test_s2_pi_with_an_entry_above_one_names_the_file(tmp_path, capsys):
+    """The sum check allows 1e-12, so pi(0) = 1 + 4e-13 used to pass it and
+    reach sqrt(x (1 - x)) < 0 as a bare ``math domain error``."""
+    path = write(tmp_path, "pi.json", [1.0000000000004, 2e-13, 2e-13])
+    code, out, err = run_cli(["s2", "--pi", path], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad probability file {path}: "), err
+
+
 def test_discrete_compare_without_graph_exits_2(pi3_file, capsys):
     """The missing --graph used to reach open(None) and end in a TypeError."""
     code, out, err = run_cli(["discrete", "--compare", "--pi", pi3_file], capsys)

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from fastchain.optimizer import (
     PRESAMPLES,
     CyclePolytope,
     _line_search,
+    _lockstep,
     _zeroin,
     brute_force_minimize,
     epsilon_neighborhood,
@@ -33,10 +36,14 @@ from fastchain.rng import RandomStream
 from conftest import (
     closure_oracle,
     cycle_rates_oracle,
+    drive,
     f_value_oracle,
+    kernel_oracle,
+    multistart_oracle,
     random_ham_digraph,
     random_member,
     random_pi,
+    slope_and_f,
     stationarity_oracle,
 )
 
@@ -95,23 +102,27 @@ def test_frank_wolfe_converges_on_k5_skewed_pi():
 
 
 def test_slope_is_the_closed_form_derivative():
-    """The slope of CyclePolytope.slope_and_f along L_A - L is F - H_A,
-    along L_A - L_B it is H_B - H_A, and both match central differences of
-    F."""
+    """The slope CyclePolytope._slope reads from a stacked h along L_A - L
+    is F - H_A, along L_A - L_B it is H_B - H_A, both match central
+    differences of F, and it is the slope of the mixture's own inverse bit
+    for bit."""
     stream = RandomStream(403)
     poly = CyclePolytope(complete_graph(4), random_pi(stream, 4))
     w = stream.spawn(0).simplex(poly.m)
     f, hvals = poly.f_and_h(w)
+    _, h = poly._kernels([w, w])  # h[1]: w's h as the second row of a stack
     eye = np.eye(poly.m)
     for s, a in ((0, 5), (3, 1), (7, 2)):
         for d, closed in ((eye[s] - w, f - hvals[s]), (eye[s] - eye[a], hvals[a] - hvals[s])):
-            slope, _ = poly.slope_and_f(w, poly.rates(d))
+            slope = poly._slope(poly.rates(d), h[1])
+            assert slope == slope_and_f(poly, w, poly.rates(d))[0]
             assert abs(slope - closed) <= 1e-12
             step = 1e-6
             diff = (poly.f_values([w + step * d])[0] - poly.f_values([w - step * d])[0]) / (2 * step)
             assert abs(slope - diff) <= 1e-7
     e_0 = eye[0]
-    assert poly.slope_and_f(e_0, poly.rates(e_0))[0] == np.inf  # a 2-cycle alone is reducible
+    _, (h_0,) = poly._kernels([e_0])
+    assert h_0 is None and poly._slope(poly.rates(e_0), h_0) == np.inf  # a 2-cycle alone is reducible
 
 
 def test_brute_force_s2(pi3, s2):
@@ -432,7 +443,7 @@ def bisection_line_search(poly, point, direction, hi):
     d_rates = poly.rates(direction)
 
     def slope(t):
-        return poly.slope_and_f(point(t), d_rates)[0]
+        return slope_and_f(poly, point(t), d_rates)[0]
 
     k = int(np.argmin(vals))
     if k == 0 and slope(0.0) >= 0:
@@ -463,26 +474,29 @@ def test_zeroin_closes_bracket_in_few_evaluations(name, f):
         return float(f(t))
 
     a, b = 15 / 32, 17 / 32
-    t = _zeroin(counted, a, counted(a), b, counted(b), BISECT_TOL)
+    t = drive(_zeroin(a, counted(a), b, counted(b), BISECT_TOL), counted)
     assert abs(t - ROOT) <= BISECT_TOL, name
     assert len(calls) <= 14 < 29 <= bisect(f, a, b)[1], (name, len(calls))
 
 
 class _Segment:
     """The parts of CyclePolytope that ``_line_search`` reads, for a scalar
-    F along a segment whose point is t itself (one weight)."""
+    F along a segment whose point is t itself (one weight).  The "h" that
+    ``answer`` gives a point is its t, which ``_slope`` reads."""
 
     def __init__(self, f, df):
         self.f, self.df = f, df
 
-    def f_values(self, ws):
-        return np.array([self.f(w[0]) for w in ws])
+    def answer(self, ws):
+        if ws.ndim == 1:
+            return self.f(ws[0]), ws[0]
+        return np.array([self.f(w[0]) for w in ws]), [w[0] for w in ws]
 
     def rates(self, direction):
         return direction
 
-    def slope_and_f(self, w, d_rates):
-        return self.df(w[0]) * d_rates[0], self.f(w[0])
+    def _slope(self, d_rates, t):
+        return self.df(t) * d_rates[0]
 
 
 def test_line_search_without_sign_change_returns_presample_minimum():
@@ -502,7 +516,8 @@ def test_line_search_without_sign_change_returns_presample_minimum():
 
     seg = _Segment(f, df)
     assert df(15 / 32) < 0 and df(17 / 32) < 0
-    assert _line_search(seg, lambda t: t * np.ones(1), np.ones(1), 1.0) == (0.5, f(0.5))
+    search = _line_search(seg, lambda t: t * np.ones(1), np.ones(1), 1.0)
+    assert drive(search, seg.answer) == (0.5, f(0.5), 0.5)
 
 
 LINE_SEARCH_CASES = {
@@ -517,27 +532,48 @@ LINE_SEARCH_CASES = {
 def test_line_search_matches_bisection_with_few_slopes(monkeypatch, name):
     """Along a whole multi-start run, every line search returns a t within
     BISECT_TOL of the bisection oracle's on the same segment.  The root
-    finder makes few slope evaluations: on K5 with pi = (1..5)/15 at most
-    8 per search on average, the early endpoint returns included (bisection
-    made about 15).  The count is of the kernels (one inverse each) formed
-    during the search: every slope takes one, F at the root takes none of
-    its own, and every search takes at least one."""
+    finder reads few slopes: on K5 with pi = (1..5)/15 at most 8 per search
+    on average, the early endpoint returns included (bisection made about
+    15).  A slope is read from the h of a presample row at a bracket end
+    and of a requested point after that: every search reads at least one,
+    makes no inverse of its own (the rounds make them all), reads its 1 or
+    2 bracket-end slopes right after the presample and before asking for
+    any point, and reads one slope per point it asks for."""
     g, pi = LINE_SEARCH_CASES[name]
-    searches, slopes = [], [0]
-    real_kernel = CyclePolytope._kernel
+    searches, slopes, inverses = [], [0], [0]
+    real_slope, real_inv, real_search = CyclePolytope._slope, np.linalg.inv, _line_search
 
-    def counted_kernel(self, w):
+    def counted_slope(self, d_rates, h):
         slopes[0] += 1
-        return real_kernel(self, w)
+        return real_slope(self, d_rates, h)
+
+    def counted_inv(a):
+        inverses[0] += 1
+        return real_inv(a)
 
     def checked_search(poly, point, direction, hi):
-        before = slopes[0]
-        t, f = _line_search(poly, point, direction, hi)
-        count = slopes[0] - before
-        searches.append((t, bisection_line_search(poly, point, direction, hi)[0], count))
-        return t, f
+        search, reply, steps = real_search(poly, point, direction, hi), None, []
+        while True:
+            before = slopes[0], inverses[0]
+            try:
+                request = search.send(reply)
+            except StopIteration as done:
+                steps.append((slopes[0] - before[0], inverses[0] - before[1], None))
+                result = done.value
+                break
+            steps.append((slopes[0] - before[0], inverses[0] - before[1], request.shape))
+            reply = yield request
+        assert sum(made for _, made, _ in steps) == 0
+        assert steps[0] == (0, 0, (PRESAMPLES, poly.m))
+        points = [shape for _, _, shape in steps[1:] if shape is not None]
+        assert all(shape == (poly.m,) for shape in points)
+        assert steps[1][0] in (1, 2) and sum(read for read, _, _ in steps[2:]) == len(points)
+        searches.append((result[0], bisection_line_search(poly, point, direction, hi)[0],
+                         sum(read for read, _, _ in steps)))
+        return result
 
-    monkeypatch.setattr(CyclePolytope, "_kernel", counted_kernel)
+    monkeypatch.setattr(CyclePolytope, "_slope", counted_slope)
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
     monkeypatch.setattr(optimizer, "_line_search", checked_search)
     report = optimizer.frank_wolfe_minimize(g, pi, seed=0)
     assert report.converged
@@ -546,3 +582,81 @@ def test_line_search_matches_bisection_with_few_slopes(monkeypatch, name):
     assert min(count for _, _, count in searches) >= 1
     if name == "K5":
         assert np.mean([count for _, _, count in searches]) <= 8.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(POLYTOPE_GRAPHS)), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 8), st.integers(0, 12), st.sampled_from([0.0, 1e-8]))
+def test_lockstep_runs_are_the_sequential_runs(name, seed, extra_starts, max_iters, tol):
+    """Every start of the lockstep multistart reports what it reports run
+    alone on single inverses (``multistart_oracle``), exactly: weight bytes,
+    f_min, gap, H_A bytes, iterations and converged.  With max_iters up to
+    12 and tol 0 or 1e-8, the drawn starts end in all three ways
+    (converged, on max_iters, neither step moves) on K3, S2 and S3; on K4,
+    which needs 17 iterations, on max_iters."""
+    g = POLYTOPE_GRAPHS[name]
+    poly = CyclePolytope(g, random_pi(RandomStream(seed), g.n, spread=0.9))
+    runs, real = [], _lockstep
+    with mock.patch.object(optimizer, "_lockstep",
+                           lambda poly, gens: runs.append(real(poly, gens)) or runs[-1]):
+        best = optimizer._multistart(poly, tol, max_iters, seed, extra_starts)
+    expect = multistart_oracle(poly, tol, max_iters, seed, extra_starts)
+    assert len(runs) == 1 and len(runs[0]) == extra_starts + 1
+    for got, want in zip(runs[0], expect):
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert got.certificate.h_values.tobytes() == want.certificate.h_values.tobytes()
+        assert (got.f_min, got.certificate.gap, got.iterations, got.converged) == \
+            (want.f_min, want.certificate.gap, want.iterations, want.converged)
+    assert best is min(runs[0], key=lambda report: report.f_min)
+
+
+def test_lockstep_round_mixes_reducible_rows_and_points(monkeypatch):
+    """One round that holds a presample toward a 2-cycle (its t = 1 row is
+    reducible), an irreducible point and a reducible one makes one inverse.
+    Reducible rows get F = inf and h = None; every other row gets the F and
+    h (bytes and strides) of its own inverse."""
+    poly = CyclePolytope(complete_graph(4), ProbabilityVector(np.arange(1, 5) / 10))
+    m, calls, real_inv = poly.m, [0], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.__setitem__(0, calls[0] + 1) or real_inv(a))
+    w = np.full(m, 1.0 / m)
+    e_2 = np.eye(m)[next(k for k, c in enumerate(poly.cycles) if len(c) == 2)]
+    ts = np.linspace(0.0, 1.0, PRESAMPLES)[:, None]
+    presample = (1.0 - ts) * w + ts * e_2
+
+    def ask(request):
+        return (yield request)
+
+    (vals, hs), point, lone = _lockstep(poly, [ask(presample), ask(w), ask(e_2)])
+    assert calls[0] == 1
+    assert lone == (np.inf, None) and vals[-1] == np.inf and hs[-1] is None
+    for x, f, h in [*zip(presample[:-1], vals[:-1], hs[:-1]), (w, *point)]:
+        f_own, h_own = kernel_oracle(poly, x)
+        assert f == f_own and h.tobytes() == h_own.tobytes() and h.strides == h_own.strides
+    assert type(point[0]) is float
+
+
+def test_one_inverse_per_round_and_a_fifth_of_the_sequential_count(monkeypatch):
+    """On K4 at p with the command line's 8 extra starts, every round of
+    frank_wolfe_minimize makes exactly one inverse, and the run makes
+    fewer than a fifth of the inverses of the sequential route (250
+    against 1735 when this was written)."""
+    g, pi = LINE_SEARCH_CASES["K4"]
+    calls, rounds = [0], [0]
+    real_inv, real_kernels = np.linalg.inv, CyclePolytope._kernels
+
+    def counted_inv(a):
+        calls[0] += 1
+        return real_inv(a)
+
+    def counted_kernels(self, ws):
+        rounds[0] += 1
+        return real_kernels(self, ws)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(CyclePolytope, "_kernels", counted_kernels)
+    frank_wolfe_minimize(g, pi, seed=0, extra_starts=8)
+    lockstep = calls[0]
+    assert lockstep == rounds[0]
+    calls[0] = 0
+    multistart_oracle(CyclePolytope(g, pi), 1e-8, 10_000, 0, 8)
+    assert 5 * lockstep < calls[0], (lockstep, calls[0])
